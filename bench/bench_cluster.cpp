@@ -180,7 +180,7 @@ void print_artifact() {
               static_cast<unsigned long long>(legs),
               static_cast<unsigned long long>(leg_errors));
   std::printf("cluster read: %s (%.2fx the 462,600 events/s feed)\n\n",
-              rate >= target ? "MET" : "NOT MET", rate / target);
+              bench::verdict(rate >= target), rate / target);
 
   bench::JsonObject json;
   json.add("shards", static_cast<std::uint64_t>(kShards));
@@ -302,5 +302,5 @@ int main(int argc, char** argv) {
   print_artifact();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::gates_exit_code();
 }

@@ -132,7 +132,7 @@ void print_artifact() {
   // the retained scalar reference decoding the same block in full.
   const double decode_speedup = dec_scalar_s / dec_into_s;
   std::printf("decode fast path: %.2fx vs scalar -- %s (target >= 2x)\n",
-              decode_speedup, decode_speedup >= 2.0 ? "MET" : "NOT MET");
+              decode_speedup, bench::verdict(decode_speedup >= 2.0));
   std::printf("decode throughput: %s, fused sum: %s\n\n",
               util::fmt_si(n / dec_into_s, "events/s", 2).c_str(),
               util::fmt_si(n / dec_sum_s, "events/s", 2).c_str());
@@ -233,5 +233,5 @@ int main(int argc, char** argv) {
   print_artifact();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::gates_exit_code();
 }

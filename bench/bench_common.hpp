@@ -78,6 +78,22 @@ class JsonObject {
   std::string body_;
 };
 
+/// Count of acceptance gates that printed NOT MET in this process.
+inline int& unmet_gates() {
+  static int n = 0;
+  return n;
+}
+
+/// The printed verdict of one acceptance gate. An unmet gate is counted,
+/// and `main` returns `gates_exit_code()`, so a bench whose gate fails
+/// fails the run instead of only saying so.
+inline const char* verdict(bool met) {
+  if (!met) ++unmet_gates();
+  return met ? "MET" : "NOT MET";
+}
+
+inline int gates_exit_code() { return unmet_gates() == 0 ? 0 : 1; }
+
 inline void print_header(const char* artifact, const char* claim) {
   std::printf("==================================================================\n");
   std::printf("%s\n", artifact);

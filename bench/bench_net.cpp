@@ -20,6 +20,7 @@
 #include "server/client.hpp"
 #include "server/server.hpp"
 #include "store/store.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "util/text_table.hpp"
 
@@ -230,7 +231,7 @@ void print_artifact() {
               static_cast<unsigned long long>(m.served),
               static_cast<unsigned long long>(m.shed));
   std::printf("net read: %s (%.2fx the 462,600 events/s feed)\n\n",
-              rate >= target ? "MET" : "NOT MET", rate / target);
+              bench::verdict(rate >= target), rate / target);
 
   const auto curve = connection_soak(store, bench::full_scale_requested());
   double p99_16 = 0.0;
@@ -244,7 +245,7 @@ void print_artifact() {
       p99_16 > 0.0 && p99_1024 > 0.0 && p99_1024 <= soak_limit;
   std::printf("soak gate: p99@1024 %.3f ms vs limit %.3f ms (3x the "
               "16-connection %.3f ms) — %s\n\n",
-              p99_1024, soak_limit, p99_16, soak_met ? "MET" : "NOT MET");
+              p99_1024, soak_limit, p99_16, bench::verdict(soak_met));
 
   bench::JsonObject json;
   json.add("clients", static_cast<std::uint64_t>(clients));
@@ -267,6 +268,20 @@ void print_artifact() {
 }
 
 // --- google-benchmark timings of the layers underneath -------------------
+
+/// The frame checksum alone: util::crc32 over one payload, run once by
+/// encode_frame and once by FrameDecoder::feed for every frame.
+void BM_crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> payload(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng(11);
+  for (auto& b : payload) b = static_cast<std::uint8_t>(rng.uniform_index(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32(payload));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_crc32)->Arg(256)->Arg(1 << 20);
 
 void BM_frame_encode(benchmark::State& state) {
   const std::vector<std::uint8_t> payload(
@@ -371,5 +386,5 @@ int main(int argc, char** argv) {
   print_artifact();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::gates_exit_code();
 }

@@ -404,7 +404,7 @@ void print_artifact() {
               gate_batch ? "ok" : "STARVED");
   std::printf("qos overload gate: %s (p99 %s, batch %s, shed %llu, "
               "calibration %s)\n\n",
-              met ? "MET" : "NOT MET", gate_p99 ? "ok" : "violated",
+              bench::verdict(met), gate_p99 ? "ok" : "violated",
               gate_batch ? "flowing" : "starved",
               static_cast<unsigned long long>(total_shed),
               calibration_exact ? "exact" : "MISMATCH");
@@ -507,5 +507,5 @@ int main(int argc, char** argv) {
   print_artifact();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::gates_exit_code();
 }

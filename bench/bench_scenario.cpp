@@ -141,7 +141,7 @@ void print_artifact() {
               sweep.threads, static_cast<unsigned long long>(fed), elapsed,
               util::fmt_si(rate, "events/s", 2).c_str());
   std::printf("scenario sweep read: %s (%.2fx the 462,600 events/s feed)\n\n",
-              rate >= target ? "MET" : "NOT MET", rate / target);
+              bench::verdict(rate >= target), rate / target);
 
   bench::JsonObject json;
   json.add("variants", static_cast<std::uint64_t>(variants.size()));
@@ -261,5 +261,5 @@ int main(int argc, char** argv) {
   print_artifact();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::gates_exit_code();
 }

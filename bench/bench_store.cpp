@@ -103,7 +103,7 @@ void print_artifact() {
   }
   const double rate = static_cast<double>(total) / write_s;
   std::printf("store write: %s (%.2fx the 462,600 events/s feed)\n",
-              rate >= target ? "MET" : "NOT MET", rate / target);
+              bench::verdict(rate >= target), rate / target);
 
   // Reopen = recovery path: directory listing, manifest CRC, footer
   // validation of every listed segment.
@@ -151,7 +151,7 @@ void print_artifact() {
   if (multi_core) {
     std::printf("parallel scan (2 threads) vs serial: %.2fx -- %s "
                 "(target >= 1.5x)\n\n",
-                scan_speedup, gate_scan_parallel ? "MET" : "NOT MET");
+                scan_speedup, bench::verdict(gate_scan_parallel));
   } else {
     std::printf("parallel scan (2 threads) vs serial: %.2fx (single "
                 "hardware thread -- speedup not measurable)\n\n",
@@ -194,7 +194,7 @@ void print_artifact() {
               static_cast<double>(cache_counters.bytes) / 1e6);
   std::printf("cache-hit repeated query: %.1fx vs cold -- %s "
               "(target >= 5x)\n\n",
-              cache_speedup, cache_speedup >= 5.0 ? "MET" : "NOT MET");
+              cache_speedup, bench::verdict(cache_speedup >= 5.0));
 
   // Warm read tier: the same full-span fan-out scan served from mmap'd
   // segments (zero-copy block slices, no per-block open/seek) vs the
@@ -231,7 +231,7 @@ void print_artifact() {
               static_cast<unsigned long long>(warm_stats.warm_blocks),
               static_cast<unsigned long long>(warm_stats.cold_blocks));
   std::printf("warm-tier scan: %.2fx vs cold -- %s (target >= 1.3x)\n\n",
-              warm_speedup, gate_warm_tier ? "MET" : "NOT MET");
+              warm_speedup, bench::verdict(gate_warm_tier));
 
   // Zero-copy scan-to-wire: stream every metric's encoded blocks through
   // a ChunkWriter into a counting sink. Whole blocks slice straight from
@@ -311,7 +311,7 @@ void print_artifact() {
   std::printf("stream peak staged: %zu bytes vs %u chunk -- %s (flat in "
               "archive size)\n\n",
               stream_peak_staged, stream_chunk,
-              gate_stream_flat ? "MET" : "NOT MET");
+              bench::verdict(gate_stream_flat));
 
   // Compaction throughput: re-feed into fragment-sized segments, then one
   // merge pass folds them into per-day outputs — decode + re-sort +
@@ -501,5 +501,5 @@ int main(int argc, char** argv) {
   print_artifact();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::gates_exit_code();
 }

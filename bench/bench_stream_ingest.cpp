@@ -115,7 +115,7 @@ void print_artifact() {
   std::printf("%s\n", t.str().c_str());
   std::printf("target %s sustained: %s (best %s, drops %llu)\n\n",
               util::fmt_si(target, "samples/s", 0).c_str(),
-              best >= target && total_drops == 0 ? "MET" : "NOT MET",
+              bench::verdict(best >= target && total_drops == 0),
               util::fmt_si(best, "samples/s", 2).c_str(),
               static_cast<unsigned long long>(total_drops));
 }
@@ -179,5 +179,5 @@ int main(int argc, char** argv) {
   print_artifact();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return bench::gates_exit_code();
 }

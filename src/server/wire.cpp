@@ -12,32 +12,71 @@ namespace exawatt::server::wire {
 
 namespace {
 
+void store_le64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+constexpr std::size_t kSampleBytes = 16;
+
 /// Bounded little-endian writer/reader pair. Every read checks the
 /// remaining byte count first — a response decoded by the client and a
 /// request decoded by the server both treat the payload as adversarial.
+/// Sample arrays go in and out in bulk: one resize or one count check for
+/// the whole array, then 16 bytes per sample (i64 t, f64 value) in place.
 class Writer {
  public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
+  /// Writes into a buffer of its own, handed over by take().
+  Writer() : out_(&own_) {}
+  /// Appends to `out` directly (the streamed scan encoders).
+  explicit Writer(std::vector<std::uint8_t>* out) : out_(out) {}
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+
+  void u8(std::uint8_t v) { out_->push_back(v); }
   void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    for (int i = 0; i < 4; ++i) out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
   void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    std::uint8_t* p = grow(8);
+    store_le64(p, v);
   }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+    out_->insert(out_->end(), s.begin(), s.end());
   }
   void doubles(std::span<const double> v) {
     u64(v.size());
     for (const double x : v) f64(x);
   }
-  std::vector<std::uint8_t> take() { return std::move(out_); }
+  /// u64 count, then each sample as i64 t + f64 value.
+  void samples(std::span<const ts::Sample> v) {
+    u64(v.size());
+    std::uint8_t* p = grow(v.size() * kSampleBytes);
+    for (const ts::Sample& s : v) {
+      store_le64(p, static_cast<std::uint64_t>(s.t));
+      store_le64(p + 8, std::bit_cast<std::uint64_t>(s.value));
+      p += kSampleBytes;
+    }
+  }
+  std::vector<std::uint8_t> take() { return std::move(own_); }
 
  private:
-  std::vector<std::uint8_t> out_;
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = out_->size();
+    out_->resize(at + n);
+    return out_->data() + at;
+  }
+
+  std::vector<std::uint8_t> own_;
+  std::vector<std::uint8_t>* out_;
 };
 
 class Reader {
@@ -59,8 +98,8 @@ class Reader {
   }
   std::uint64_t u64() {
     need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in_[pos_++]) << (8 * i);
+    const std::uint64_t v = load_le64(in_.data() + pos_);
+    pos_ += 8;
     return v;
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
@@ -95,6 +134,19 @@ class Reader {
     v.reserve(n);
     for (std::size_t i = 0; i < n; ++i) v.push_back(f64());
     return v;
+  }
+  /// Appends a Writer::samples array to `out`. The count check covers
+  /// the whole array, so the fill below reads in bounds.
+  void samples(std::vector<ts::Sample>& out) {
+    const std::size_t n = count(kSampleBytes);
+    const std::uint8_t* p = in_.data() + pos_;
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    for (std::size_t i = 0; i < n; ++i, p += kSampleBytes) {
+      out[at + i] = {static_cast<std::int64_t>(load_le64(p)),
+                     std::bit_cast<double>(load_le64(p + 8))};
+    }
+    pos_ += n * kSampleBytes;
   }
 
  private:
@@ -468,11 +520,7 @@ std::vector<std::uint8_t> encode_response(const Response& resp) {
       w.u64(resp.runs.size());
       for (const store::MetricRun& run : resp.runs) {
         w.u32(run.id);
-        w.u64(run.samples.size());
-        for (const ts::Sample& s : run.samples) {
-          w.i64(s.t);
-          w.f64(s.value);
-        }
+        w.samples(run.samples);
       }
       write_stats(w, resp.stats);
       break;
@@ -564,11 +612,7 @@ std::vector<std::uint8_t> encode_response(const Response& resp) {
       for (const store::MetricRun& run : resp.runs) {
         w.u32(run.id);
         w.u8(0);
-        w.u64(run.samples.size());
-        for (const ts::Sample& s : run.samples) {
-          w.i64(s.t);
-          w.f64(s.value);
-        }
+        w.samples(run.samples);
         w.u8(2);
       }
       write_stats(w, resp.stats);
@@ -626,14 +670,7 @@ Response decode_response(std::span<const std::uint8_t> payload) {
       for (std::size_t i = 0; i < n_runs; ++i) {
         store::MetricRun run;
         run.id = r.u32();
-        const std::size_t n = r.count(16);
-        run.samples.reserve(n);
-        for (std::size_t j = 0; j < n; ++j) {
-          ts::Sample s;
-          s.t = r.i64();
-          s.value = r.f64();
-          run.samples.push_back(s);
-        }
+        r.samples(run.samples);
         resp.runs.push_back(std::move(run));
       }
       resp.stats = read_stats(r);
@@ -754,14 +791,7 @@ Response decode_response(std::span<const std::uint8_t> payload) {
           const std::uint8_t piece = r.u8();
           if (piece == 2) break;
           if (piece == 0) {
-            const std::size_t n = r.count(16);
-            run.samples.reserve(run.samples.size() + n);
-            for (std::size_t j = 0; j < n; ++j) {
-              ts::Sample s;
-              s.t = r.i64();
-              s.value = r.f64();
-              run.samples.push_back(s);
-            }
+            r.samples(run.samples);
             continue;
           }
           if (piece != 1) throw WireError("scan_blocks: unknown piece tag");
@@ -800,73 +830,51 @@ Response decode_response(std::span<const std::uint8_t> payload) {
 }
 
 void scan_stream_begin(std::size_t n_runs, std::vector<std::uint8_t>* out) {
-  Writer w;
+  Writer w(out);
   w.u8(static_cast<std::uint8_t>(Status::kOk));
   w.u8(static_cast<std::uint8_t>(Method::kScan));
   w.u64(n_runs);
-  const auto bytes = w.take();
-  out->insert(out->end(), bytes.begin(), bytes.end());
 }
 
 void scan_stream_run(const store::MetricRun& run,
                      std::vector<std::uint8_t>* out) {
-  Writer w;
+  Writer w(out);
   w.u32(run.id);
-  w.u64(run.samples.size());
-  for (const ts::Sample& s : run.samples) {
-    w.i64(s.t);
-    w.f64(s.value);
-  }
-  const auto bytes = w.take();
-  out->insert(out->end(), bytes.begin(), bytes.end());
+  w.samples(run.samples);
 }
 
 void scan_stream_end(const store::QueryStats& stats,
                      std::vector<std::uint8_t>* out) {
-  Writer w;
+  Writer w(out);
   write_stats(w, stats);
-  const auto bytes = w.take();
-  out->insert(out->end(), bytes.begin(), bytes.end());
 }
 
 void scan_blocks_begin(std::size_t n_runs, std::vector<std::uint8_t>* out) {
-  Writer w;
+  Writer w(out);
   w.u8(static_cast<std::uint8_t>(Status::kOk));
   w.u8(static_cast<std::uint8_t>(Method::kScanBlocks));
   w.u64(n_runs);
-  const auto bytes = w.take();
-  out->insert(out->end(), bytes.begin(), bytes.end());
 }
 
 void scan_blocks_run_begin(telemetry::MetricId id,
                            std::vector<std::uint8_t>* out) {
-  Writer w;
+  Writer w(out);
   w.u32(id);
-  const auto bytes = w.take();
-  out->insert(out->end(), bytes.begin(), bytes.end());
 }
 
 void scan_blocks_block_header(std::uint32_t n_bytes, std::uint32_t n_events,
                               std::vector<std::uint8_t>* out) {
-  Writer w;
+  Writer w(out);
   w.u8(1);  // piece: raw encoded block (bytes follow, written separately)
   w.u32(n_bytes);
   w.u32(n_events);
-  const auto bytes = w.take();
-  out->insert(out->end(), bytes.begin(), bytes.end());
 }
 
 void scan_blocks_samples(std::span<const ts::Sample> samples,
                          std::vector<std::uint8_t>* out) {
-  Writer w;
+  Writer w(out);
   w.u8(0);  // piece: loose time-sorted samples
-  w.u64(samples.size());
-  for (const ts::Sample& s : samples) {
-    w.i64(s.t);
-    w.f64(s.value);
-  }
-  const auto bytes = w.take();
-  out->insert(out->end(), bytes.begin(), bytes.end());
+  w.samples(samples);
 }
 
 void scan_blocks_run_end(std::vector<std::uint8_t>* out) {
@@ -875,10 +883,8 @@ void scan_blocks_run_end(std::vector<std::uint8_t>* out) {
 
 void scan_blocks_end(const store::QueryStats& stats,
                      std::vector<std::uint8_t>* out) {
-  Writer w;
+  Writer w(out);
   write_stats(w, stats);
-  const auto bytes = w.take();
-  out->insert(out->end(), bytes.begin(), bytes.end());
 }
 
 std::vector<std::uint8_t> encode_tick(const Tick& tick) {

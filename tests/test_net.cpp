@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -389,6 +390,138 @@ TEST(Wire, HostileElementCountIsRejectedBeforeAllocation) {
       (void)server::wire::decode_request(evil);
     } catch (const server::wire::WireError&) {
       // expected for the count offset; harmless elsewhere
+    }
+  }
+}
+
+// --- golden sample encodings ----------------------------------------------
+
+std::string hex_of(std::span<const std::uint8_t> bytes) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string s;
+  for (const std::uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 0xF];
+  }
+  return s;
+}
+
+/// Two runs (2 samples + 1 sample) with negative times and values, a
+/// fractional value and a -0.0, so the pinned bytes exercise sign bits in
+/// both halves of the 16-byte sample record.
+server::wire::Response golden_scan_response(server::wire::Method method) {
+  server::wire::Response resp;
+  resp.method = method;
+  store::MetricRun a;
+  a.id = 7;
+  a.samples = {{-3, 1.5}, {0x0102030405060708, -2.0}};
+  store::MetricRun b;
+  b.id = 0xA0B0C0D0;
+  b.samples = {{86400, -0.0}};
+  resp.runs = {a, b};
+  resp.stats.lost_segments = 1;
+  resp.stats.lost_blocks = 2;
+  resp.stats.cache_hits = 3;
+  resp.stats.cache_misses = 4;
+  return resp;
+}
+
+// Little-endian sample layout: status, method, u64 run count, then per run
+// u32 id, u64 sample count and 16 bytes per sample (i64 t, f64 value),
+// then the four u64 stats.
+constexpr const char* kGoldenScan =
+    "0002"
+    "0200000000000000"
+    "07000000" "0200000000000000"
+    "fdffffffffffffff" "000000000000f83f"
+    "0807060504030201" "00000000000000c0"
+    "d0c0b0a0" "0100000000000000"
+    "8051010000000000" "0000000000000080"
+    "0100000000000000" "0200000000000000"
+    "0300000000000000" "0400000000000000";
+
+// kScanBlocks in its materialized form: each run is one loose piece (tag
+// 0, count, samples) and the end-of-run tag 2.
+constexpr const char* kGoldenScanBlocks =
+    "000a"
+    "0200000000000000"
+    "07000000" "00" "0200000000000000"
+    "fdffffffffffffff" "000000000000f83f"
+    "0807060504030201" "00000000000000c0" "02"
+    "d0c0b0a0" "00" "0100000000000000"
+    "8051010000000000" "0000000000000080" "02"
+    "0100000000000000" "0200000000000000"
+    "0300000000000000" "0400000000000000";
+
+TEST(WireGolden, ScanResponseBytesArePinned) {
+  const auto resp = golden_scan_response(server::wire::Method::kScan);
+  const auto bytes = server::wire::encode_response(resp);
+  EXPECT_EQ(hex_of(bytes), kGoldenScan);
+
+  std::vector<std::uint8_t> streamed;
+  server::wire::scan_stream_begin(resp.runs.size(), &streamed);
+  for (const store::MetricRun& run : resp.runs) {
+    server::wire::scan_stream_run(run, &streamed);
+  }
+  server::wire::scan_stream_end(resp.stats, &streamed);
+  EXPECT_EQ(hex_of(streamed), kGoldenScan);
+
+  const auto back = server::wire::decode_response(bytes);
+  ASSERT_EQ(back.runs.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(back.runs[i].id, resp.runs[i].id);
+    ASSERT_EQ(back.runs[i].samples.size(), resp.runs[i].samples.size());
+    for (std::size_t j = 0; j < resp.runs[i].samples.size(); ++j) {
+      EXPECT_EQ(back.runs[i].samples[j].t, resp.runs[i].samples[j].t);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back.runs[i].samples[j].value),
+                std::bit_cast<std::uint64_t>(resp.runs[i].samples[j].value));
+    }
+  }
+  EXPECT_EQ(back.stats.cache_misses, 4u);
+}
+
+TEST(WireGolden, ScanBlocksResponseBytesArePinned) {
+  const auto resp = golden_scan_response(server::wire::Method::kScanBlocks);
+  EXPECT_EQ(hex_of(server::wire::encode_response(resp)), kGoldenScanBlocks);
+
+  std::vector<std::uint8_t> streamed;
+  server::wire::scan_blocks_begin(resp.runs.size(), &streamed);
+  for (const store::MetricRun& run : resp.runs) {
+    server::wire::scan_blocks_run_begin(run.id, &streamed);
+    server::wire::scan_blocks_samples(run.samples, &streamed);
+    server::wire::scan_blocks_run_end(&streamed);
+  }
+  server::wire::scan_blocks_end(resp.stats, &streamed);
+  EXPECT_EQ(hex_of(streamed), kGoldenScanBlocks);
+}
+
+TEST(WireGolden, BulkSampleReaderRejectsTruncationAndLongCounts) {
+  for (const auto method :
+       {server::wire::Method::kScan, server::wire::Method::kScanBlocks}) {
+    const auto bytes =
+        server::wire::encode_response(golden_scan_response(method));
+    for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+      EXPECT_THROW(
+          (void)server::wire::decode_response({bytes.data(), keep}),
+          server::wire::WireError)
+          << "method " << static_cast<int>(method) << " prefix " << keep;
+    }
+    // The first run's sample count sits after status, method, the run
+    // count and the run id (plus the piece tag in block form). Declaring
+    // one sample more than the rest of the payload holds, or 2^63, must
+    // fail the count check before anything is sized from it.
+    const std::size_t at =
+        method == server::wire::Method::kScan ? 2 + 8 + 4 : 2 + 8 + 4 + 1;
+    const std::uint64_t fits = (bytes.size() - at - 8) / 16;
+    for (const std::uint64_t declared :
+         {fits + 1, std::uint64_t{1} << 63, ~std::uint64_t{0}}) {
+      auto evil = bytes;
+      for (int i = 0; i < 8; ++i) {
+        evil[at + i] = static_cast<std::uint8_t>(declared >> (8 * i));
+      }
+      EXPECT_THROW((void)server::wire::decode_response(evil),
+                   server::wire::WireError)
+          << "method " << static_cast<int>(method) << " count " << declared;
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -107,6 +108,58 @@ TEST(Crc32, DetectsSingleBitFlip) {
   const auto before = util::crc32(data);
   data[64] ^= 0x01;
   EXPECT_NE(util::crc32(data), before);
+}
+
+/// The executable spec of util::crc32: Sarwate's byte-at-a-time loop over
+/// the reflected IEEE polynomial, table built on the spot.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data,
+                             std::uint32_t crc = 0) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    c = table[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 gen(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(gen());
+  return out;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  const auto buf = random_bytes(16 + 300, 41);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::uint8_t> s(buf.data() + offset, len);
+      ASSERT_EQ(util::crc32(s), crc32_bytewise(s))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, ChainedSplitsMatchTheWholeAroundStrideBoundaries) {
+  const auto buf = random_bytes(80, 42);
+  const std::span<const std::uint8_t> all(buf);
+  const std::uint32_t whole = crc32_bytewise(all);
+  for (std::size_t at = 0; at <= all.size(); ++at) {
+    const std::uint32_t head = util::crc32(all.first(at));
+    EXPECT_EQ(util::crc32(all.subspan(at), head), whole) << "split " << at;
+  }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceOnOneMebibyte) {
+  const auto buf = random_bytes(std::size_t{1} << 20, 43);
+  EXPECT_EQ(util::crc32(buf), crc32_bytewise(buf));
 }
 
 // ---------------------------------------------------------------- footer
@@ -666,6 +719,65 @@ TEST(QueryMany, ParallelMatchesSerialAndPerMetricQueries) {
       EXPECT_TRUE(sample_eq(one[i].samples[j], many[i].samples[j]));
       EXPECT_TRUE(sample_eq(one[i].samples[j], global[i].samples[j]));
     }
+  }
+}
+
+TEST(QueryMany, SegmentsOutOfTimeOrderAndTheTailStillComeBackSorted) {
+  // Segments are scanned in ingest order, so older data sealed after
+  // newer data (disjoint or overlapping), plus an unsealed tail, hands
+  // each run over unsorted and must take the sort.
+  const auto dir = scratch_dir("query_many_unsorted");
+  util::Rng rng(17);
+  store::StoreOptions options;
+  options.segment_events = 400;
+  options.block_events = 64;
+  auto st = store::Store::open(dir, options);
+  const std::vector<std::vector<telemetry::MetricEvent>> batches{
+      random_batch(rng, {2 * util::kHour, 3 * util::kHour}, 400, 4),
+      random_batch(rng, {0, util::kHour}, 400, 4),
+      random_batch(rng, {50 * 60, 2 * util::kHour + 600}, 400, 4),
+      random_batch(rng, {util::kHour, 3 * util::kHour}, 100, 4)};
+  for (const auto& b : batches) {
+    st.append(b);
+    if (&b != &batches.back()) st.flush();
+  }
+  EXPECT_EQ(st.sealed_segments(), 3u);
+  EXPECT_EQ(st.buffered_events(), 100u);
+
+  const std::vector<telemetry::MetricId> ids{0, 1, 2, 3, 1};
+  const util::TimeRange range{0, 3 * util::kHour};
+  std::map<telemetry::MetricId, std::vector<ts::Sample>> want;
+  for (const auto& b : batches) {
+    for (const auto& ev : b) {
+      want[ev.id].push_back({ev.t, static_cast<double>(ev.value)});
+    }
+  }
+  for (auto& [id, samples] : want) {
+    std::sort(samples.begin(), samples.end(), sample_less);
+  }
+  const auto expect_exact = [&](const std::vector<ts::Sample>& got,
+                                telemetry::MetricId id,
+                                const std::string& what) {
+    const auto& ref = want[id];
+    ASSERT_EQ(got.size(), ref.size()) << what << " id " << id;
+    for (std::size_t j = 0; j < ref.size(); ++j) {
+      ASSERT_TRUE(sample_eq(got[j], ref[j])) << what << " id " << id
+                                              << " sample " << j;
+    }
+  };
+
+  const auto many = st.query_many(ids, range);
+  ASSERT_EQ(many.size(), ids.size());
+  std::vector<store::MetricRun> scanned;
+  EXPECT_TRUE(st.scan(ids, range, [&](store::MetricRun&& run) {
+    scanned.push_back(std::move(run));
+    return true;
+  }));
+  ASSERT_EQ(scanned.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    expect_exact(many[i].samples, ids[i], "query_many");
+    expect_exact(scanned[i].samples, ids[i], "scan");
+    expect_exact(st.query(ids[i], range), ids[i], "query");
   }
 }
 
