@@ -12,10 +12,10 @@ namespace exawatt::net {
 /// Wire framing of the query service (all integers little-endian):
 ///
 ///   [4]  magic "EXWN"
-///   [1]  u8  protocol version (1)
+///   [1]  u8  protocol version (kProtocolVersion)
 ///   [1]  u8  frame type (FrameType)
 ///   [2]  u16 flags (chunked-stream continuation bits; 0 on every other
-///        frame — the field pre-chunking peers required to be zero)
+///        frame)
 ///   [8]  u64 request id (echoed on responses/ticks of that request)
 ///   [4]  u32 payload length (bounded by kMaxPayload)
 ///   [4]  u32 CRC-32 of the payload (util::crc32, the store's checksum)
@@ -25,8 +25,12 @@ namespace exawatt::net {
 /// before a single payload byte is trusted, lengths are bounded before
 /// buffering, and any violation surfaces as a typed FrameError — the
 /// server answers with a goodbye frame and closes, it never crashes.
+///
+/// The version byte is the only compatibility rule: both ends must speak
+/// exactly kProtocolVersion, and any other value is a kBadVersion fault.
+/// Any change to a payload layout bumps the version.
 inline constexpr std::uint8_t kFrameMagic[4] = {'E', 'X', 'W', 'N'};
-inline constexpr std::uint8_t kProtocolVersion = 1;
+inline constexpr std::uint8_t kProtocolVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 24;
 /// Generous for any sane response (a day of 10 s windows is ~70 KB) but
 /// small enough that a hostile length can't balloon server memory.
@@ -34,10 +38,8 @@ inline constexpr std::size_t kFrameHeaderBytes = 24;
 inline constexpr std::size_t kMaxPayload = std::size_t{32} << 20;
 
 /// Continuation flags of a chunked response stream. Exactly one may be
-/// set, and only on kResponse frames; they appear on the wire only after
-/// the client negotiated chunking for that request (a pre-chunking peer
-/// treats any nonzero flag as its fatal "nonzero reserved field", which
-/// is why negotiation is per-request, never assumed).
+/// set, and only on kResponse frames; they appear only on responses to a
+/// request that set Request::chunk_bytes.
 inline constexpr std::uint16_t kFrameFlagChunk = 0x1;  ///< fragment, more follow
 inline constexpr std::uint16_t kFrameFlagFinal = 0x2;  ///< last fragment
 /// Stream aborted mid-flight: the payload is a complete error response

@@ -12,11 +12,11 @@
 namespace exawatt::qos {
 
 /// Priority classes of the multi-tenant service, ordered best-first.
-/// Carried on the wire as request-extension tag 3 (absent = kNormal), so
-/// class-less legacy clients land in the middle tier unchanged.
+/// Carried on the wire as Request::qos_class (default kNormal), so
+/// clients that leave it unset land in the middle tier.
 enum class Class : std::uint8_t {
   kInteractive = 0,  ///< health checks, dashboards — latency-critical
-  kNormal = 1,       ///< ordinary queries (and every legacy client)
+  kNormal = 1,       ///< ordinary queries (and every unset request)
   kBatch = 2,        ///< replays, sweeps, compaction — throughput work
 };
 
@@ -25,8 +25,8 @@ inline constexpr Class kDefaultClass = Class::kNormal;
 
 [[nodiscard]] const char* class_name(Class c);
 
-/// Wire value -> Class. Unknown future values demote to kBatch: a newer
-/// peer's unrecognized tier must never jump the interactive lane.
+/// Wire value -> Class. Values past kBatch demote to kBatch: an
+/// out-of-range class must never jump the interactive lane.
 [[nodiscard]] Class class_from_wire(std::uint32_t v);
 
 struct SchedulerOptions {

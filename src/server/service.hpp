@@ -237,7 +237,6 @@ class QueryService {
     std::int64_t admitted_us = 0;
     std::int64_t deadline_us = 0;
     qos::Class cls = qos::kDefaultClass;
-    bool qos_tagged = false;     ///< peer sent a qos extension tag
     std::uint64_t cost_us = 0;   ///< admission estimate
   };
 

@@ -197,11 +197,11 @@ Method read_method(Reader& r) {
   return static_cast<Method>(m);
 }
 
-/// ScenarioSpec travels with its cooling override as a count-prefixed
-/// double block (same mixed-version posture as the kServerStats
-/// extension block): a decoder fills the tunables it knows by position
-/// and skips the rest, so adding a CoolingParams field is not a protocol
-/// break.
+/// The cooling override travels as a count-prefixed double block whose
+/// count is exactly kCoolingTunables when the has_cooling flag is set and
+/// 0 otherwise; any other count is a malformed spec.
+constexpr std::size_t kCoolingTunables = 12;
+
 void write_spec(Writer& w, const scenario::ScenarioSpec& spec) {
   w.str(spec.name);
   std::uint32_t flags = 0;
@@ -217,7 +217,7 @@ void write_spec(Writer& w, const scenario::ScenarioSpec& spec) {
     return;
   }
   const facility::CoolingParams& c = spec.cooling;
-  const double cooling[] = {
+  const double cooling[kCoolingTunables] = {
       c.mtw_supply_setpoint_c, c.tower_approach_c,  c.tower_fade_band_c,
       c.stage_up_tau_s,        c.stage_down_tau_s,  c.supply_tau_s,
       c.loop_w_per_c,          static_cast<double>(c.return_delay_s),
@@ -237,29 +237,24 @@ scenario::ScenarioSpec read_spec(Reader& r) {
   spec.power_cap_w = r.f64();
   spec.wet_bulb_offset_c = r.f64();
   spec.weather_seed = r.u64();
-  const std::size_t n = r.count(8);
+  if (r.u64() != (spec.has_cooling ? kCoolingTunables : 0)) {
+    throw WireError("cooling override must carry 12 tunables exactly when "
+                    "flagged, none otherwise");
+  }
+  if (!spec.has_cooling) return spec;
   facility::CoolingParams& c = spec.cooling;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = r.f64();
-    switch (i) {
-      case 0: c.mtw_supply_setpoint_c = v; break;
-      case 1: c.tower_approach_c = v; break;
-      case 2: c.tower_fade_band_c = v; break;
-      case 3: c.stage_up_tau_s = v; break;
-      case 4: c.stage_down_tau_s = v; break;
-      case 5: c.supply_tau_s = v; break;
-      case 6: c.loop_w_per_c = v; break;
-      case 7: c.return_delay_s = static_cast<util::TimeSec>(v); break;
-      case 8: c.pump_power_w = v; break;
-      case 9: c.distribution_loss_frac = v; break;
-      case 10: c.tower_fan_w_per_w = v; break;
-      case 11: c.chiller_w_per_w = v; break;
-      default: break;  // newer peer's tunable — skip
-    }
-  }
-  if (spec.has_cooling && n == 0) {
-    throw WireError("cooling override flagged but no tunables sent");
-  }
+  c.mtw_supply_setpoint_c = r.f64();
+  c.tower_approach_c = r.f64();
+  c.tower_fade_band_c = r.f64();
+  c.stage_up_tau_s = r.f64();
+  c.stage_down_tau_s = r.f64();
+  c.supply_tau_s = r.f64();
+  c.loop_w_per_c = r.f64();
+  c.return_delay_s = static_cast<util::TimeSec>(r.f64());
+  c.pump_power_w = r.f64();
+  c.distribution_loss_frac = r.f64();
+  c.tower_fan_w_per_w = r.f64();
+  c.chiller_w_per_w = r.f64();
   return spec;
 }
 
@@ -373,33 +368,11 @@ std::vector<std::uint8_t> encode_request(const Request& req) {
     case Method::kScanBlocks:
       throw WireError("scan_blocks is response-only (request as kScan)");
   }
-  // Trailing (tag,value) extension block, written only when a non-default
-  // option is set: a peer that predates it sees "trailing bytes after
-  // request" (per-request INVALID_ARGUMENT, connection intact) and the
-  // Client falls back to a plain request — never a silent misparse.
-  const std::uint32_t n_ext = (req.chunk_bytes != 0 ? 1u : 0u) +
-                              (req.want_scan_blocks ? 1u : 0u) +
-                              (req.qos_class != 1 ? 1u : 0u) +
-                              (req.tenant != 0 ? 1u : 0u);
-  if (n_ext != 0) {
-    w.u32(n_ext);  // extension count
-    if (req.chunk_bytes != 0) {
-      w.u32(1);  // tag 1: chunk_bytes
-      w.u32(req.chunk_bytes);
-    }
-    if (req.want_scan_blocks) {
-      w.u32(2);  // tag 2: answer a kScan in block form
-      w.u32(1);
-    }
-    if (req.qos_class != 1) {
-      w.u32(3);  // tag 3: QoS priority class
-      w.u32(req.qos_class);
-    }
-    if (req.tenant != 0) {
-      w.u32(4);  // tag 4: tenant id (per-tenant fair queueing)
-      w.u32(req.tenant);
-    }
-  }
+  // Per-request options: fixed fields after every method body.
+  w.u32(req.chunk_bytes);
+  w.u8(req.want_scan_blocks ? 1 : 0);
+  w.u32(req.qos_class);
+  w.u32(req.tenant);
   return w.take();
 }
 
@@ -466,25 +439,12 @@ Request decode_request(std::span<const std::uint8_t> payload) {
     case Method::kScanBlocks:
       throw WireError("scan_blocks is response-only (request as kScan)");
   }
-  if (!r.done()) {
-    // (tag,value) extensions appended by newer clients; unknown tags are
-    // skipped so this decoder stays forward-compatible.
-    const std::uint32_t n_ext = r.u32();
-    if (n_ext > r.remaining() / 8) {
-      throw WireError("declared count exceeds payload");
-    }
-    for (std::uint32_t i = 0; i < n_ext; ++i) {
-      const std::uint32_t tag = r.u32();
-      const std::uint32_t value = r.u32();
-      switch (tag) {
-        case 1: req.chunk_bytes = value; break;
-        case 2: req.want_scan_blocks = value != 0; break;
-        case 3: req.qos_class = value; break;
-        case 4: req.tenant = value; break;
-        default: break;  // newer peer's option — skip
-      }
-    }
-  }
+  req.chunk_bytes = r.u32();
+  const std::uint8_t blocks = r.u8();
+  if (blocks > 1) throw WireError("want_scan_blocks must be 0 or 1");
+  req.want_scan_blocks = blocks != 0;
+  req.qos_class = r.u32();
+  req.tenant = r.u32();
   if (!r.done()) throw WireError("trailing bytes after request");
   return req;
 }
@@ -495,14 +455,7 @@ std::vector<std::uint8_t> encode_response(const Response& resp) {
   w.u8(static_cast<std::uint8_t>(resp.method));
   if (resp.status != Status::kOk) {
     w.str(resp.message);
-    // Count-prefixed u64 extension block; index 0 = shed cost hint. A
-    // pre-QoS decoder throws "trailing bytes after error response" on
-    // it, so the service only sets the hint for peers whose request
-    // carried a qos tag (see Response::shed_cost_hint_us).
-    if (resp.shed_cost_hint_us != 0) {
-      w.u64(1);
-      w.u64(resp.shed_cost_hint_us);
-    }
+    w.u64(resp.shed_cost_hint_us);
     return w.take();
   }
   switch (resp.method) {
@@ -549,12 +502,6 @@ std::vector<std::uint8_t> encode_response(const Response& resp) {
       w.u64(resp.server.queue_limit);
       w.f64(resp.server.p50_ms);
       w.f64(resp.server.p99_ms);
-      // Count-prefixed extension block: new u64 counters append here, so
-      // a mixed-version rollout degrades gracefully instead of throwing
-      // transport-looking WireErrors — an old decoder skips fields it
-      // does not know, a new decoder zero-fills fields an old server
-      // never sent.
-      w.u64(19);
       w.u64(resp.server.reconnects_attempted);
       w.u64(resp.server.reconnects_succeeded);
       w.u64(resp.server.shards_total);
@@ -632,19 +579,7 @@ Response decode_response(std::span<const std::uint8_t> payload) {
   resp.method = read_method(r);
   if (resp.status != Status::kOk) {
     resp.message = r.str();
-    if (!r.done()) {
-      // Count-prefixed extension (shed cost hint and whatever a newer
-      // server appends after it) — same skip-unknown contract as the
-      // server-stats block.
-      const std::size_t n_ext = r.count(8);
-      for (std::size_t i = 0; i < n_ext; ++i) {
-        const std::uint64_t v = r.u64();
-        switch (i) {
-          case 0: resp.shed_cost_hint_us = v; break;
-          default: break;  // newer peer's field — skip
-        }
-      }
-    }
+    resp.shed_cost_hint_us = r.u64();
     if (!r.done()) throw WireError("trailing bytes after error response");
     return resp;
   }
@@ -699,37 +634,19 @@ Response decode_response(std::span<const std::uint8_t> payload) {
       resp.server.queue_limit = r.u64();
       resp.server.p50_ms = r.f64();
       resp.server.p99_ms = r.f64();
-      // Extension block (see encoder): absent on pre-cluster servers
-      // (fields stay zero), and counters this decoder does not know yet
-      // are consumed and ignored rather than tripping "trailing bytes".
-      if (!r.done()) {
-        const std::size_t n_ext = r.count(8);
-        for (std::size_t i = 0; i < n_ext; ++i) {
-          const std::uint64_t v = r.u64();
-          switch (i) {
-            case 0: resp.server.reconnects_attempted = v; break;
-            case 1: resp.server.reconnects_succeeded = v; break;
-            case 2: resp.server.shards_total = v; break;
-            case 3: resp.server.shards_down = v; break;
-            case 4: resp.server.streams = v; break;
-            case 5: resp.server.stream_chunks = v; break;
-            case 6: resp.server.stream_pauses = v; break;
-            case 7: resp.server.stream_resumes = v; break;
-            case 8: resp.server.qos_workers = v; break;
-            case 9: resp.server.qos_backlog_cost_us = v; break;
-            case 10: case 11: case 12:
-              resp.server.qos_served[i - 10] = v;
-              break;
-            case 13: case 14: case 15:
-              resp.server.qos_shed[i - 13] = v;
-              break;
-            case 16: case 17: case 18:
-              resp.server.qos_p99_us[i - 16] = v;
-              break;
-            default: break;  // newer peer's counter — skip
-          }
-        }
-      }
+      resp.server.reconnects_attempted = r.u64();
+      resp.server.reconnects_succeeded = r.u64();
+      resp.server.shards_total = r.u64();
+      resp.server.shards_down = r.u64();
+      resp.server.streams = r.u64();
+      resp.server.stream_chunks = r.u64();
+      resp.server.stream_pauses = r.u64();
+      resp.server.stream_resumes = r.u64();
+      resp.server.qos_workers = r.u64();
+      resp.server.qos_backlog_cost_us = r.u64();
+      for (std::uint64_t& v : resp.server.qos_served) v = r.u64();
+      for (std::uint64_t& v : resp.server.qos_shed) v = r.u64();
+      for (std::uint64_t& v : resp.server.qos_p99_us) v = r.u64();
       break;
     }
     case Method::kDirectory: {

@@ -41,10 +41,9 @@ enum class Method : std::uint8_t {
   /// Response-only: a kScan answered in block form. Runs arrive as raw
   /// still-encoded codec blocks (sliced zero-copy from mapped segments
   /// server-side) plus loose boundary samples; the client decodes and
-  /// re-sorts into the identical MetricRuns a kScan would carry. Opted
-  /// into per-request via extension tag 2 on a kScan — a server that
-  /// predates it ignores the tag and answers classic kScan, so the
-  /// decoder must accept either method back.
+  /// re-sorts into the identical MetricRuns a kScan would carry. Asked
+  /// for with Request::want_scan_blocks on a chunked kScan; the server
+  /// may still answer classic kScan, so the decoder accepts either.
   kScanBlocks = 10,
 };
 
@@ -92,32 +91,26 @@ struct Request {
   /// kScenario (exactly one) / kScenarioSweep (1..kMaxSweepVariants).
   std::vector<scenario::ScenarioSpec> scenarios;
 
+  // Per-request options: fixed fields after the method body on every
+  // request (u32 chunk_bytes, u8 want_scan_blocks, u32 qos_class, u32
+  // tenant).
+
   /// Nonzero opts this request into chunked streaming responses: the
   /// server may answer with kChunk/kFinal continuation frames of about
-  /// this payload size instead of one materialized response. Travels as
-  /// a trailing (tag,value) extension block — a pre-chunking server
-  /// rejects it with INVALID_ARGUMENT ("trailing bytes"), which the
-  /// Client treats as "peer too old" and transparently retries without
-  /// it, so mixed-version fleets keep working.
+  /// this payload size instead of one materialized response.
   std::uint32_t chunk_bytes = 0;
 
   /// On a chunked kScan, asks the server to answer in kScanBlocks form
   /// (raw encoded blocks instead of decoded samples — the zero-copy
-  /// scan-to-wire path). Travels as extension tag 2; servers that
-  /// predate it skip the tag and answer classic kScan, so setting this
-  /// is always safe. Meaningful only together with `chunk_bytes`.
+  /// scan-to-wire path). Meaningful only together with `chunk_bytes`.
   bool want_scan_blocks = false;
 
-  /// QoS priority class: 0 interactive, 1 normal, 2 batch (the decoder
-  /// demotes unknown future values to batch — a tier this server does
-  /// not know must never jump the interactive lane). Travels as
-  /// extension tag 3, written only when non-default, so a class-less
-  /// legacy client's bytes are unchanged and lands in `normal`.
+  /// QoS priority class: 0 interactive, 1 normal, 2 batch. Values past
+  /// batch are scheduled as batch (qos::class_from_wire).
   std::uint32_t qos_class = 1;
 
   /// Tenant id for per-tenant fair queueing inside a class; 0 (the
-  /// default) is the anonymous tenant every legacy client shares.
-  /// Extension tag 4.
+  /// default) is the anonymous tenant.
   std::uint32_t tenant = 0;
 };
 
@@ -149,8 +142,7 @@ struct ServerStatsWire {
   /// QoS health (zeros when the endpoint runs the classic FIFO): live
   /// worker count, estimated queued cost, and per-class counters indexed
   /// by qos::Class (0 interactive / 1 normal / 2 batch). p99 in whole
-  /// microseconds — a latency histogram does not need sub-us precision
-  /// and u64 keeps the extension block uniform.
+  /// microseconds — a latency histogram does not need sub-us precision.
   std::uint64_t qos_workers = 0;
   std::uint64_t qos_backlog_cost_us = 0;
   std::array<std::uint64_t, 3> qos_served{};
@@ -179,11 +171,8 @@ struct Response {
 
   /// On a QoS shed (RESOURCE_EXHAUSTED), the refused request's estimated
   /// cost in microseconds — the client-side hint for backoff/splitting.
-  /// Travels as a count-prefixed u64 block after the error message, and
-  /// ONLY to peers whose request carried a qos extension tag (proof the
-  /// peer is new enough): an old decoder throws on trailing bytes after
-  /// an error response, so the server never volunteers the block to a
-  /// peer that did not implicitly opt in.
+  /// Travels as a u64 after the message of every error response; 0 when
+  /// the cost is unknown.
   std::uint64_t shed_cost_hint_us = 0;
 
   store::WindowSum window_sum;          // kWindowSum
@@ -207,8 +196,8 @@ enum class TickKind : std::uint8_t {
   kAlert = 2,   ///< one alert engine transition
   kEnd = 4,     ///< subscription finished (replay reached range end)
   /// One closed window of one sweep variant (kScenarioSweep streaming;
-  /// `variant` says which). Sent only to peers that asked for window
-  /// ticks on a sweep, so an old peer never sees the unknown kind.
+  /// `variant` says which). Sent only when the sweep's subscribe_mask
+  /// asked for window ticks.
   kVariantWindow = 8,
 };
 

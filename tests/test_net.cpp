@@ -239,11 +239,12 @@ TEST(Wire, ResponseRoundTripsBitIdentically) {
   EXPECT_EQ(err_back.message, err.message);
 }
 
-TEST(Wire, ServerStatsToleratesVersionSkew) {
+server::wire::Response golden_stats_response() {
   server::wire::Response resp;
   resp.method = server::wire::Method::kServerStats;
   resp.server.accepted = 10;
   resp.server.served = 9;
+  resp.server.shed = 1;
   resp.server.queue_limit = 256;
   resp.server.p99_ms = 1.5;
   resp.server.reconnects_attempted = 3;
@@ -259,11 +260,18 @@ TEST(Wire, ServerStatsToleratesVersionSkew) {
   resp.server.qos_served = {100, 200, 300};
   resp.server.qos_shed = {1, 2, 3};
   resp.server.qos_p99_us = {900, 9000, 90000};
-  const auto bytes = server::wire::encode_response(resp);
+  return resp;
+}
 
-  // Same-version round trip carries every counter.
+TEST(Wire, ServerStatsRoundTripsEveryCounter) {
+  const auto resp = golden_stats_response();
+  const auto bytes = server::wire::encode_response(resp);
   const auto back = server::wire::decode_response(bytes);
   EXPECT_EQ(back.server.accepted, 10u);
+  EXPECT_EQ(back.server.served, 9u);
+  EXPECT_EQ(back.server.shed, 1u);
+  EXPECT_EQ(back.server.queue_limit, 256u);
+  EXPECT_EQ(back.server.p99_ms, 1.5);
   EXPECT_EQ(back.server.reconnects_attempted, 3u);
   EXPECT_EQ(back.server.reconnects_succeeded, 2u);
   EXPECT_EQ(back.server.shards_total, 5u);
@@ -274,58 +282,21 @@ TEST(Wire, ServerStatsToleratesVersionSkew) {
   EXPECT_EQ(back.server.stream_resumes, 2u);
   EXPECT_EQ(back.server.qos_workers, 6u);
   EXPECT_EQ(back.server.qos_backlog_cost_us, 123456u);
-  EXPECT_EQ(back.server.qos_served[1], 200u);
-  EXPECT_EQ(back.server.qos_shed[2], 3u);
-  EXPECT_EQ(back.server.qos_p99_us[0], 900u);
+  EXPECT_EQ(back.server.qos_served, resp.server.qos_served);
+  EXPECT_EQ(back.server.qos_shed, resp.server.qos_shed);
+  EXPECT_EQ(back.server.qos_p99_us, resp.server.qos_p99_us);
 
-  // Pre-extension server: the payload stops before the extension block
-  // (count u64 + 19 counters = 160 bytes). A new client must zero-fill,
-  // not throw a transport-looking truncation error.
-  ASSERT_GT(bytes.size(), 160u);
-  const auto from_old =
-      server::wire::decode_response({bytes.data(), bytes.size() - 160});
-  EXPECT_EQ(from_old.server.accepted, 10u);
-  EXPECT_EQ(from_old.server.p99_ms, 1.5);
-  EXPECT_EQ(from_old.server.reconnects_attempted, 0u);
-  EXPECT_EQ(from_old.server.shards_total, 0u);
-  EXPECT_EQ(from_old.server.shards_down, 0u);
-  EXPECT_EQ(from_old.server.streams, 0u);
-  EXPECT_EQ(from_old.server.qos_workers, 0u);
-
-  // Mid-version server (shard counters but no stream or qos counters):
-  // the count it wrote is honored and the newer fields zero-fill.
-  auto mid = bytes;
-  mid.resize(mid.size() - 120);  // drop stream + qos counters (15)...
-  mid.at(mid.size() - 40) = 4;   // ...and declare count 4 (LE low byte)
-  const auto from_mid = server::wire::decode_response(mid);
-  EXPECT_EQ(from_mid.server.reconnects_attempted, 3u);
-  EXPECT_EQ(from_mid.server.shards_down, 1u);
-  EXPECT_EQ(from_mid.server.streams, 0u);
-  EXPECT_EQ(from_mid.server.stream_chunks, 0u);
-  EXPECT_EQ(from_mid.server.qos_backlog_cost_us, 0u);
-
-  // Stream-era server (everything but the qos counters): stream fields
-  // arrive, qos fields zero-fill.
-  auto stream_era = bytes;
-  stream_era.resize(stream_era.size() - 88);  // drop the 11 qos counters...
-  stream_era.at(stream_era.size() - 72) = 8;  // ...and declare count 8
-  const auto from_stream = server::wire::decode_response(stream_era);
-  EXPECT_EQ(from_stream.server.streams, 7u);
-  EXPECT_EQ(from_stream.server.stream_resumes, 2u);
-  EXPECT_EQ(from_stream.server.qos_workers, 0u);
-  EXPECT_EQ(from_stream.server.qos_served[0], 0u);
-  EXPECT_EQ(from_stream.server.qos_p99_us[2], 0u);
-
-  // Newer server: a twentieth extension counter this decoder has never
-  // heard of is consumed and ignored, not reported as trailing bytes.
-  auto future = bytes;
-  future.at(future.size() - 160) = 20;  // count 19 -> 20 (LE low byte)
-  for (int i = 0; i < 8; ++i) future.push_back(0xEE);
-  const auto from_new = server::wire::decode_response(future);
-  EXPECT_EQ(from_new.server.accepted, 10u);
-  EXPECT_EQ(from_new.server.reconnects_attempted, 3u);
-  EXPECT_EQ(from_new.server.shards_down, 1u);
-  EXPECT_EQ(from_new.server.qos_p99_us[2], 90000u);
+  // A short payload is malformed, never zero-filled; a long one too.
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+    EXPECT_THROW(
+        (void)server::wire::decode_response({bytes.data(), keep}),
+        server::wire::WireError)
+        << "stats prefix " << keep;
+  }
+  auto longer = bytes;
+  longer.push_back(0);
+  EXPECT_THROW((void)server::wire::decode_response(longer),
+               server::wire::WireError);
 }
 
 TEST(Wire, TickRoundTrips) {
@@ -366,6 +337,34 @@ TEST(Wire, EveryTruncationIsRejectedNotCrashed) {
         (void)server::wire::decode_response({resp_bytes.data(), keep}),
         server::wire::WireError)
         << "response prefix " << keep;
+  }
+
+  // Every request option set: no prefix may decode as a plain request
+  // that silently dropped the options.
+  req.chunk_bytes = 65536;
+  req.want_scan_blocks = true;
+  req.qos_class = 2;
+  req.tenant = 7;
+  const auto opt_bytes = server::wire::encode_request(req);
+  ASSERT_EQ(opt_bytes.size(), req_bytes.size());
+  for (std::size_t keep = 0; keep < opt_bytes.size(); ++keep) {
+    EXPECT_THROW(
+        (void)server::wire::decode_request({opt_bytes.data(), keep}),
+        server::wire::WireError)
+        << "optioned request prefix " << keep;
+  }
+
+  server::wire::Response shed;
+  shed.status = server::wire::Status::kResourceExhausted;
+  shed.method = server::wire::Method::kPueRollup;
+  shed.message = "queue overloaded";
+  shed.shed_cost_hint_us = 48000;
+  const auto shed_bytes = server::wire::encode_response(shed);
+  for (std::size_t keep = 0; keep < shed_bytes.size(); ++keep) {
+    EXPECT_THROW(
+        (void)server::wire::decode_response({shed_bytes.data(), keep}),
+        server::wire::WireError)
+        << "shed response prefix " << keep;
   }
 }
 
@@ -493,6 +492,87 @@ TEST(WireGolden, ScanBlocksResponseBytesArePinned) {
   }
   server::wire::scan_blocks_end(resp.stats, &streamed);
   EXPECT_EQ(hex_of(streamed), kGoldenScanBlocks);
+}
+
+// A kScan request with every per-request option set: method, deadline,
+// u64 metric count and u32 ids, the i64 range, then the fixed option
+// fields u32 chunk_bytes, u8 want_scan_blocks, u32 qos_class, u32 tenant.
+constexpr const char* kGoldenOptionedRequest =
+    "02" "fa000000"
+    "0200000000000000" "01000000" "d0c0b0a0"
+    "fbffffffffffffff" "100e000000000000"
+    "00000100" "01" "02000000" "07000000";
+
+// An error response: status, method, u32-length message, then the u64
+// shed cost hint every error response carries.
+constexpr const char* kGoldenShedResponse =
+    "0104" "04000000" "73686564" "80bb000000000000";
+
+// kServerStats: every counter in ServerStatsWire order, no count prefix.
+constexpr const char* kGoldenServerStats =
+    "0006"
+    "0a00000000000000" "0900000000000000" "0100000000000000"
+    "0000000000000000" "0000000000000000" "0000000000000000"
+    "0000000000000000" "0001000000000000"
+    "0000000000000000" "000000000000f83f"
+    "0300000000000000" "0200000000000000" "0500000000000000"
+    "0100000000000000"
+    "0700000000000000" "4600000000000000" "0200000000000000"
+    "0200000000000000"
+    "0600000000000000" "40e2010000000000"
+    "6400000000000000" "c800000000000000" "2c01000000000000"
+    "0100000000000000" "0200000000000000" "0300000000000000"
+    "8403000000000000" "2823000000000000" "905f010000000000";
+
+TEST(WireGolden, OptionedRequestBytesArePinned) {
+  server::wire::Request req;
+  req.method = server::wire::Method::kScan;
+  req.deadline_ms = 250;
+  req.metrics = {1, 0xA0B0C0D0};
+  req.range = {-5, 3600};
+  req.chunk_bytes = 65536;
+  req.want_scan_blocks = true;
+  req.qos_class = 2;
+  req.tenant = 7;
+  const auto bytes = server::wire::encode_request(req);
+  EXPECT_EQ(hex_of(bytes), kGoldenOptionedRequest);
+
+  const auto back = server::wire::decode_request(bytes);
+  EXPECT_EQ(back.deadline_ms, 250u);
+  EXPECT_EQ(back.metrics, req.metrics);
+  EXPECT_EQ(back.range.begin, -5);
+  EXPECT_EQ(back.range.end, 3600);
+  EXPECT_EQ(back.chunk_bytes, 65536u);
+  EXPECT_TRUE(back.want_scan_blocks);
+  EXPECT_EQ(back.qos_class, 2u);
+  EXPECT_EQ(back.tenant, 7u);
+
+  // The block-form byte is a bool: anything but 0 or 1 is malformed.
+  auto evil = bytes;
+  evil[evil.size() - 9] = 2;
+  EXPECT_THROW((void)server::wire::decode_request(evil),
+               server::wire::WireError);
+}
+
+TEST(WireGolden, ShedResponseBytesArePinned) {
+  server::wire::Response shed;
+  shed.status = server::wire::Status::kResourceExhausted;
+  shed.method = server::wire::Method::kPueRollup;
+  shed.message = "shed";
+  shed.shed_cost_hint_us = 48000;
+  const auto bytes = server::wire::encode_response(shed);
+  EXPECT_EQ(hex_of(bytes), kGoldenShedResponse);
+
+  const auto back = server::wire::decode_response(bytes);
+  EXPECT_EQ(back.status, server::wire::Status::kResourceExhausted);
+  EXPECT_EQ(back.method, server::wire::Method::kPueRollup);
+  EXPECT_EQ(back.message, "shed");
+  EXPECT_EQ(back.shed_cost_hint_us, 48000u);
+}
+
+TEST(WireGolden, ServerStatsBytesArePinned) {
+  EXPECT_EQ(hex_of(server::wire::encode_response(golden_stats_response())),
+            kGoldenServerStats);
 }
 
 TEST(WireGolden, BulkSampleReaderRejectsTruncationAndLongCounts) {
@@ -680,6 +760,28 @@ TEST(Wire, ScenarioTruncationsAndHostileSpecsAreRejected) {
   auto evil = without;
   evil[flag_at] |= 4u;  // has_cooling, with a zero-count tunable block
   EXPECT_THROW((void)server::wire::decode_request(evil),
+               server::wire::WireError);
+
+  // The tunable count is exactly 12 with the flag and 0 without: a
+  // block of 11 or 13, or 12 tunables on an unflagged spec, is rejected.
+  plain.scenarios[0].force_chillers = false;
+  plain.scenarios[0].has_cooling = true;
+  const auto cooled = server::wire::encode_request(plain);
+  ASSERT_NO_THROW((void)server::wire::decode_request(cooled));
+  // The spec is the last field before the 13 bytes of request options;
+  // its u64 count precedes the 12 doubles.
+  const std::size_t count_at = cooled.size() - 13 - 12 * 8 - 8;
+  ASSERT_EQ(cooled[count_at], 12u);
+  for (const std::uint8_t count : {11, 13}) {
+    auto bad_count = cooled;
+    bad_count[count_at] = count;
+    EXPECT_THROW((void)server::wire::decode_request(bad_count),
+                 server::wire::WireError)
+        << "cooling count " << int{count};
+  }
+  auto unflagged = cooled;
+  unflagged[flag_at] &= static_cast<std::uint8_t>(~4u);
+  EXPECT_THROW((void)server::wire::decode_request(unflagged),
                server::wire::WireError);
 }
 
@@ -1699,14 +1801,67 @@ TEST(ChunkedLoopback, HostileChunkFlagsFailOneConnectionNotTheNeighbor) {
   EXPECT_EQ(neighbor.call(ping).status, server::wire::Status::kOk);
 }
 
-TEST(ChunkedLoopback, DowngradesForPreChunkPeersTransparently) {
-  // A hand-rolled "old" server: answers pings, but any request carrying
-  // the chunk_bytes extension gets the exact INVALID_ARGUMENT a
-  // pre-chunking decode_request would raise for trailing bytes.
+TEST(Loopback, ProtocolVersionMismatchIsTypedGoodbye) {
+  // The frame's version byte is the only compatibility rule: a peer
+  // speaking the previous protocol is refused at the framing layer, on
+  // both sides of the connection, and never served a misparsed payload.
+  ASSERT_EQ(net::kProtocolVersion, 2);
+  constexpr std::size_t kVersionAt = 4;  // after the 4-byte magic
+  LoopbackFixture fx("version_mismatch");
+  server::Client neighbor(fx.client_options());
+  server::wire::Request ping;
+  ping.method = server::wire::Method::kPing;
+  ASSERT_EQ(neighbor.call(ping).status, server::wire::Status::kOk);
+  const auto errors_before = fx.server.loop_stats().protocol_errors;
+
+  {
+    auto stream =
+        net::TcpStream::connect("127.0.0.1", fx.server.port(), 2000);
+    auto bytes = net::encode_frame(net::FrameType::kRequest, 5,
+                                   server::wire::encode_request(ping));
+    bytes[kVersionAt] = 1;  // CRC covers the payload, not the header
+    stream.write_all(bytes.data(), bytes.size(), 2000);
+
+    net::FrameDecoder decoder;
+    net::Frame frame;
+    bool got_goodbye = false;
+    bool got_response = false;
+    bool closed = false;
+    std::uint8_t chunk[4096];
+    while (!closed && stream.wait_readable(5000)) {
+      const auto r = stream.read_some(chunk, sizeof(chunk));
+      if (r.status == net::IoStatus::kClosed) {
+        closed = true;
+        break;
+      }
+      ASSERT_EQ(r.status, net::IoStatus::kOk);
+      decoder.feed({chunk, r.n});
+      while (decoder.next(frame)) {
+        if (frame.type == net::FrameType::kResponse) got_response = true;
+        if (frame.type == net::FrameType::kGoodbye) {
+          got_goodbye = true;
+          const std::string why(frame.payload.begin(), frame.payload.end());
+          EXPECT_NE(why.find("unsupported protocol version"),
+                    std::string::npos)
+              << why;
+          EXPECT_NE(why.find("got 1"), std::string::npos) << why;
+        }
+      }
+    }
+    EXPECT_TRUE(got_goodbye);
+    EXPECT_FALSE(got_response);
+    EXPECT_TRUE(closed);
+  }
+  EXPECT_EQ(fx.server.loop_stats().protocol_errors, errors_before + 1);
+  // The neighbouring connection keeps being served.
+  EXPECT_EQ(neighbor.call(ping).status, server::wire::Status::kOk);
+
+  // The other direction: a hand-rolled responder that answers in the
+  // previous version. The client refuses the frame with a NetError that
+  // names the version instead of decoding the payload.
   net::TcpListener listener = net::TcpListener::bind(0, true);
   const std::uint16_t port = listener.local_port();
   std::atomic<bool> stop{false};
-  std::atomic<int> chunked_seen{0};
   std::thread old_server([&] {
     net::TcpStream peer;
     while (!stop.load() && !peer.valid()) {
@@ -1727,17 +1882,12 @@ TEST(ChunkedLoopback, DowngradesForPreChunkPeersTransparently) {
       decoder.feed({chunk, r.n});
       net::Frame frame;
       while (decoder.next(frame)) {
-        const auto req = server::wire::decode_request(frame.payload);
         server::wire::Response resp;
-        resp.method = req.method;
-        if (req.chunk_bytes != 0) {
-          ++chunked_seen;
-          resp.status = server::wire::Status::kInvalidArgument;
-          resp.message = "trailing bytes after request";
-        }
-        const auto out =
+        resp.method = server::wire::Method::kPing;
+        auto out =
             net::encode_frame(net::FrameType::kResponse, frame.request_id,
                               server::wire::encode_response(resp));
+        out[kVersionAt] = 1;
         peer.write_all(out.data(), out.size(), 2000);
       }
     }
@@ -1745,14 +1895,18 @@ TEST(ChunkedLoopback, DowngradesForPreChunkPeersTransparently) {
 
   server::ClientOptions copts;
   copts.port = port;
+  copts.max_reconnects = 0;  // one connection: the responder accepts one
   server::Client client(copts);
-  server::wire::Request req;
-  req.method = server::wire::Method::kPing;
-  req.chunk_bytes = 4096;  // caller wants streaming; the peer predates it
-  EXPECT_EQ(client.call(req).status, server::wire::Status::kOk);
-  EXPECT_EQ(client.call(req).status, server::wire::Status::kOk);
-  // The downgrade is sticky: exactly one probe carried the extension.
-  EXPECT_EQ(chunked_seen.load(), 1);
+  try {
+    (void)client.call(ping);
+    ADD_FAILURE() << "a v1 response frame was accepted";
+  } catch (const net::NetError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unsupported protocol version"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("got 1"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(client.connected());
 
   stop.store(true);
   old_server.join();

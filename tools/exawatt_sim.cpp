@@ -470,8 +470,8 @@ int analyze_endpoint(const std::string& spec) {
   } else {
     std::printf("upstream: none (single-store server)\n");
   }
-  // A classic-FIFO (or pre-QoS) server reports all-zero QoS counters;
-  // printing them would only mislead.
+  // A classic-FIFO server reports all-zero QoS counters; printing them
+  // would only mislead.
   std::uint64_t qos_activity = s.qos_workers;
   for (std::size_t c = 0; c < qos::kClassCount; ++c) {
     qos_activity += s.qos_served[c] + s.qos_shed[c];
@@ -2098,8 +2098,8 @@ int cmd_clustercheck(const util::Flags& flags) {
 /// The `qos` ctest gate: multi-tenant QoS behavior over real loopback
 /// wire traffic.
 ///
-///  1. Class-less parity — a legacy (untagged) client against a QoS
-///     server gets answers bit-identical to the direct store call.
+///  1. Class-less parity — a client that sets no class or tenant against
+///     a QoS server gets answers bit-identical to the direct store call.
 ///  2. Tagged round-trips — per-class served counters in server_stats
 ///     account exactly for what each tenant sent.
 ///  3. Overload — batch floods from four tenants against one worker and
