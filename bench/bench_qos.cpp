@@ -248,10 +248,9 @@ void print_artifact() {
   const std::size_t max_workers = std::clamp<std::size_t>(2 * hw, 2, 8);
   server::ServiceOptions sopts;
   sopts.queue_limit = 256;
-  sopts.qos.emplace();
-  sopts.qos->cost = qos::CostProfile::from_bench_json("BENCH_codec.json");
-  sopts.qos->pool.autoscaler.min_workers = 2;
-  sopts.qos->pool.autoscaler.max_workers = max_workers;
+  sopts.qos.cost = qos::CostProfile::from_bench_json("BENCH_codec.json");
+  sopts.qos.pool.autoscaler.min_workers = 2;
+  sopts.qos.pool.autoscaler.max_workers = max_workers;
   server::QueryService service(store, sopts);
   std::printf("pool: 2..%zu workers (%zu hardware threads)\n", max_workers,
               hw);
@@ -420,7 +419,7 @@ void print_artifact() {
       .add("batch_served", batch_ok)
       .add("total_shed", total_shed)
       .add("qos_workers", m.qos_workers)
-      .add("block_decode_us", sopts.qos->cost.block_decode_us)
+      .add("block_decode_us", sopts.qos.cost.block_decode_us)
       .add("calibration_exact", calibration_exact)
       .add("gate_met", met);
   json.write("BENCH_qos.json");

@@ -421,10 +421,18 @@ namespace {
 /// own store — pricing and execution then read the same directory.
 ServiceOptions with_store_counter(const store::Store& store,
                                   ServiceOptions options) {
-  if (options.qos && !options.qos->blocks) {
-    options.qos->blocks = qos::store_block_counter(store);
+  if (!options.qos.blocks) {
+    options.qos.blocks = qos::store_block_counter(store);
   }
   return options;
+}
+
+/// The scheduler's count bound is the service's one admission knob.
+/// (The scheduler rejects a zero bound.)
+qos::SchedulerOptions scheduler_options(const ServiceOptions& options) {
+  qos::SchedulerOptions sched = options.qos.scheduler;
+  sched.max_queue = options.queue_limit;
+  return sched;
 }
 
 }  // namespace
@@ -436,35 +444,24 @@ QueryService::QueryService(const store::Store& store, ServiceOptions options)
 QueryService::QueryService(Executor executor, ServiceOptions options)
     : executor_(std::move(executor)),
       options_(std::move(options)),
-      pool_(options_.pool != nullptr ? *options_.pool
-                                     : util::ThreadPool::global()),
       clock_(options_.clock != nullptr ? *options_.clock
                                        : util::Clock::steady()),
       lat_p50_(0.5),
       lat_p99_(0.99),
       class_p99_{stream::P2Quantile(0.99), stream::P2Quantile(0.99),
-                 stream::P2Quantile(0.99)} {
-  EXA_CHECK(options_.queue_limit > 0, "admission queue must hold something");
+                 stream::P2Quantile(0.99)},
+      cost_(options_.qos.cost, options_.qos.blocks),
+      sched_(scheduler_options(options_)),
+      workers_(&sched_, options_.qos.pool, options_.clock) {
   EXA_CHECK(executor_ != nullptr, "service needs an executor");
-  if (options_.qos) {
-    qos_cost_ = std::make_unique<qos::CostModel>(options_.qos->cost,
-                                                 options_.qos->blocks);
-    qos::SchedulerOptions sched = options_.qos->scheduler;
-    sched.max_queue = options_.queue_limit;
-    qos_sched_ = std::make_unique<qos::Scheduler>(sched);
-    qos_pool_ = std::make_unique<qos::WorkerPool>(
-        qos_sched_.get(), options_.qos->pool, options_.clock);
-  }
 }
 
 QueryService::~QueryService() {
-  if (qos_pool_ != nullptr) qos_pool_->stop();
-  if (qos_sched_ != nullptr) {
-    // Unstarted items at teardown are shed, not leaked: their done
-    // callbacks still fire exactly once.
-    for (qos::Item& item : qos_sched_->drain_all()) {
-      if (item.shed) item.shed();
-    }
+  workers_.stop();
+  // Unstarted items at teardown are shed, not leaked: their done
+  // callbacks still fire exactly once.
+  for (qos::Item& item : sched_.drain_all()) {
+    if (item.shed) item.shed();
   }
 }
 
@@ -519,11 +516,9 @@ wire::Response QueryService::execute(const wire::Request& request,
   return executor_(request, cancel, deadline_us, emit, stream);
 }
 
-void QueryService::finish(std::int64_t admitted_us,
-                          std::optional<qos::Class> cls,
-                          wire::Response&& response, const Done& done) {
+void QueryService::finish(const Admitted& a, wire::Response&& response) {
   const double latency_ms =
-      static_cast<double>(clock_.now_us() - admitted_us) / 1000.0;
+      static_cast<double>(clock_.now_us() - a.admitted_us) / 1000.0;
   {
     std::lock_guard lk(mu_);
     --depth_;
@@ -536,133 +531,77 @@ void QueryService::finish(std::int64_t admitted_us,
     }
     lat_p50_.add(latency_ms);
     lat_p99_.add(latency_ms);
-    if (cls) {
-      const auto c = static_cast<std::size_t>(*cls);
-      if (response.status == wire::Status::kOk) ++class_served_[c];
-      class_p99_[c].add(latency_ms);
-    }
+    const auto c = static_cast<std::size_t>(a.cls);
+    if (response.status == wire::Status::kOk) ++class_served_[c];
+    class_p99_[c].add(latency_ms);
     if (depth_ == 0) idle_cv_.notify_all();
   }
-  done(std::move(response));
+  a.done(std::move(response));
 }
 
-void QueryService::run_admitted(const std::shared_ptr<Admitted>& a,
-                                bool count_class) {
-  const std::optional<qos::Class> cls =
-      count_class ? std::optional<qos::Class>(a->cls) : std::nullopt;
+void QueryService::run_admitted(const Admitted& a) {
   wire::Response resp;
-  resp.method = a->request.method;
-  if (a->cancel != nullptr && a->cancel->load(std::memory_order_relaxed)) {
+  resp.method = a.request.method;
+  if (a.cancel != nullptr && a.cancel->load(std::memory_order_relaxed)) {
     // The peer is gone; its queued work is void, not executed.
     resp.status = wire::Status::kCancelled;
     resp.message = "client disconnected while queued";
-    finish(a->admitted_us, cls, std::move(resp), a->done);
+    finish(a, std::move(resp));
     return;
   }
-  if (a->deadline_us != 0 && clock_.now_us() > a->deadline_us) {
+  if (a.deadline_us != 0 && clock_.now_us() > a.deadline_us) {
     // Expired work is never started — running it would only delay
     // requests that can still make their deadlines.
     resp.status = wire::Status::kDeadlineExceeded;
     resp.message = "deadline expired before execution";
-    finish(a->admitted_us, cls, std::move(resp), a->done);
+    finish(a, std::move(resp));
     return;
   }
   try {
-    if (a->request.method == wire::Method::kSubscribe) {
-      if (!a->subscribe) {
+    if (a.request.method == wire::Method::kSubscribe) {
+      SubscribeSource subscribe;
+      {
+        std::lock_guard lk(mu_);
+        subscribe = subscribe_;
+      }
+      if (!subscribe) {
         resp.status = wire::Status::kUnimplemented;
         resp.message = "no subscription source";
       } else {
-        a->subscribe(a->request, a->cancel, a->emit);
-        if (a->cancel != nullptr &&
-            a->cancel->load(std::memory_order_relaxed)) {
+        subscribe(a.request, a.cancel, a.emit);
+        if (a.cancel != nullptr &&
+            a.cancel->load(std::memory_order_relaxed)) {
           resp.status = wire::Status::kCancelled;
           resp.message = "subscriber disconnected";
         }
       }
     } else {
-      resp = execute(a->request, a->cancel, a->deadline_us, a->emit,
-                     a->stream);
-      if (a->deadline_us != 0 && clock_.now_us() > a->deadline_us) {
+      resp = execute(a.request, a.cancel, a.deadline_us, a.emit, a.stream);
+      if (a.deadline_us != 0 && clock_.now_us() > a.deadline_us) {
         // Finished too late to be useful; report it as such so the
         // latency SLO accounting reflects what the client saw.
         resp = {};
-        resp.method = a->request.method;
+        resp.method = a.request.method;
         resp.status = wire::Status::kDeadlineExceeded;
         resp.message = "deadline expired during execution";
       }
     }
   } catch (const std::exception& e) {
     resp = {};
-    resp.method = a->request.method;
+    resp.method = a.request.method;
     resp.status = wire::Status::kInternal;
     resp.message = e.what();
   }
-  finish(a->admitted_us, cls, std::move(resp), a->done);
+  finish(a, std::move(resp));
 }
 
 void QueryService::submit(wire::Request request, CancelToken cancel,
                           Emit emit, Done done, ChunkWriter* stream) {
-  if (qos_sched_ != nullptr) {
-    submit_qos(std::move(request), std::move(cancel), std::move(emit),
-               std::move(done), stream);
-    return;
-  }
-  SubscribeSource subscribe;
-  {
-    std::lock_guard lk(mu_);
-    if (draining_) {
-      wire::Response resp;
-      resp.method = request.method;
-      resp.status = wire::Status::kUnavailable;
-      resp.message = "server is draining";
-      done(std::move(resp));
-      return;
-    }
-    if (depth_ >= options_.queue_limit) {
-      // The explicit shed: the client learns immediately instead of
-      // waiting on a queue the server cannot work off in time.
-      ++shed_;
-      wire::Response resp;
-      resp.method = request.method;
-      resp.status = wire::Status::kResourceExhausted;
-      resp.message = "admission queue full (" +
-                     std::to_string(options_.queue_limit) + ")";
-      done(std::move(resp));
-      return;
-    }
-    ++depth_;
-    ++accepted_;
-    subscribe = subscribe_;
-  }
-
-  const std::int64_t admitted_us = clock_.now_us();
-  const std::uint32_t deadline_ms = request.deadline_ms != 0
-                                        ? request.deadline_ms
-                                        : options_.default_deadline_ms;
-
-  auto a = std::make_shared<Admitted>();
-  a->request = std::move(request);
-  a->cancel = std::move(cancel);
-  a->emit = std::move(emit);
-  a->done = std::move(done);
-  a->stream = stream;
-  a->subscribe = std::move(subscribe);
-  a->admitted_us = admitted_us;
-  a->deadline_us =
-      deadline_ms != 0
-          ? admitted_us + static_cast<std::int64_t>(deadline_ms) * 1000
-          : 0;
-  pool_.submit([this, a] { run_admitted(a, /*count_class=*/false); });
-}
-
-void QueryService::submit_qos(wire::Request request, CancelToken cancel,
-                              Emit emit, Done done, ChunkWriter* stream) {
   // Everything the worker needs travels in one shared Admitted record:
   // the run and shed closures alias it instead of copying the request.
   const qos::Class cls = qos::class_from_wire(request.qos_class);
   const std::uint32_t tenant = request.tenant;
-  const std::uint64_t cost_us = qos_cost_->price(request);
+  const std::uint64_t cost_us = cost_.price(request);
 
   const std::int64_t admitted_us = clock_.now_us();
   const std::uint32_t deadline_ms = request.deadline_ms != 0
@@ -686,13 +625,7 @@ void QueryService::submit_qos(wire::Request request, CancelToken cancel,
   item.cls = cls;
   item.tenant = tenant;
   item.cost_us = cost_us;
-  item.run = [this, a] {
-    {
-      std::lock_guard lk(mu_);
-      a->subscribe = subscribe_;
-    }
-    run_admitted(a, /*count_class=*/true);
-  };
+  item.run = [this, a] { run_admitted(*a); };
   item.shed = [this, a] {
     {
       std::lock_guard lk(mu_);
@@ -725,7 +658,7 @@ void QueryService::submit_qos(wire::Request request, CancelToken cancel,
     ++depth_;
     ++accepted_;
   }
-  qos::PushResult r = qos_sched_->push(std::move(item), clock_.now_us());
+  qos::PushResult r = sched_.push(std::move(item), clock_.now_us());
   if (!r.admitted) {
     // The incoming request itself was refused: undo its admission (the
     // shed callback below settles depth_ and the shed counters).
@@ -736,16 +669,12 @@ void QueryService::submit_qos(wire::Request request, CancelToken cancel,
     // Invoked outside every lock — the shed closure takes mu_ itself.
     r.evicted->shed();
   }
-  if (r.admitted) qos_pool_->notify();
+  if (r.admitted) workers_.notify();
 }
 
 void QueryService::submit_internal(qos::Class cls, std::uint64_t cost_us,
                                    std::function<void()> work,
                                    std::function<void()> dropped) {
-  if (qos_sched_ == nullptr) {
-    pool_.submit(std::move(work));
-    return;
-  }
   {
     std::unique_lock lk(mu_);
     if (draining_) {
@@ -778,9 +707,9 @@ void QueryService::submit_internal(qos::Class cls, std::uint64_t cost_us,
     settle();
     if (dropped) dropped();
   };
-  qos::PushResult r = qos_sched_->push(std::move(item), clock_.now_us());
+  qos::PushResult r = sched_.push(std::move(item), clock_.now_us());
   if (r.evicted) r.evicted->shed();
-  if (r.admitted) qos_pool_->notify();
+  if (r.admitted) workers_.notify();
 }
 
 ServiceMetrics QueryService::metrics() const {
@@ -788,12 +717,8 @@ ServiceMetrics QueryService::metrics() const {
   // Pool and scheduler snapshots are taken outside mu_ — each has its
   // own lock, and the ordering here (no lock held while asking) keeps
   // the three lock domains acyclic.
-  if (qos_pool_ != nullptr) {
-    m.qos = true;
-    m.qos_workers = qos_pool_->workers();
-    m.qos_backlog_cost_us =
-        qos_sched_->snapshot(clock_.now_us()).backlog_cost_us;
-  }
+  m.qos_workers = workers_.workers();
+  m.qos_backlog_cost_us = sched_.snapshot(clock_.now_us()).backlog_cost_us;
   std::lock_guard lk(mu_);
   m.accepted = accepted_;
   m.served = served_;

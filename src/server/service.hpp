@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 
 #include "qos/cost.hpp"
 #include "qos/pool.hpp"
@@ -30,16 +29,18 @@ using CancelToken = std::shared_ptr<std::atomic<bool>>;
   return std::make_shared<std::atomic<bool>>(false);
 }
 
-/// Enables the multi-tenant QoS path: cost-model admission, per-class
-/// per-tenant fair scheduling and an autoscaled worker pool replace the
-/// single FIFO on the shared thread pool.
+/// The service's scheduling policy: cost-model admission, per-class
+/// per-tenant fair scheduling and an autoscaled worker pool the service
+/// owns. Every QueryService runs exactly this path.
 struct QosOptions {
   /// Unit costs behind admission pricing; calibrate with
   /// qos::CostProfile::from_bench_json when a BENCH_codec.json exists.
   qos::CostProfile cost;
-  /// max_queue is overridden with ServiceOptions::queue_limit so the
-  /// service keeps one admission knob in both modes.
+  /// max_queue is overridden with ServiceOptions::queue_limit, the
+  /// service's one admission knob.
   qos::SchedulerOptions scheduler;
+  /// The service's own workers. min_workers = max_workers = 1 gives a
+  /// single deterministic worker.
   qos::WorkerPoolOptions pool;
   /// Block counter behind the cost model. Defaulted to the service's
   /// own Store in the store-backed constructor; a custom-executor
@@ -49,26 +50,23 @@ struct QosOptions {
 };
 
 struct ServiceOptions {
-  /// Bounded admission queue: requests beyond this many queued-or-running
-  /// are shed with an explicit RESOURCE_EXHAUSTED response — the
-  /// overloaded server stays predictable instead of building an unbounded
-  /// backlog of work it will finish after every deadline has passed.
-  /// (In QoS mode the bound applies to the scheduler's queued set and
-  /// shedding is cost-based: the worst (class, cost, age) item goes, not
-  /// the newest arrival.)
+  /// Bound on requests queued but not yet running. An arrival beyond it
+  /// sheds the worst queued (class, cost, age) item — possibly itself —
+  /// with an explicit RESOURCE_EXHAUSTED carrying the shed item's cost
+  /// estimate: the overloaded server stays predictable instead of
+  /// building a backlog it finishes after every deadline has passed.
   std::size_t queue_limit = 256;
-  /// Executor; nullptr selects the process-global pool. Unused by the
-  /// QoS path, which runs its own autoscaled workers.
+  /// Unused: the service runs its admitted work on its own
+  /// qos::WorkerPool (sized by qos.pool). Kept so callers that still set
+  /// it compile; nothing reads it.
   util::ThreadPool* pool = nullptr;
   /// Deadline/latency clock; nullptr selects the steady wall clock.
   /// Tests install a util::ManualClock to make expiry deterministic.
   util::Clock* clock = nullptr;
   /// Applied when a request carries no deadline; 0 = unbounded.
   std::uint32_t default_deadline_ms = 0;
-  /// Engaged = QoS mode. Disengaged (the default) keeps the classic
-  /// bounded FIFO byte-for-byte, so existing embedders and class-less
-  /// clients see identical behavior.
-  std::optional<QosOptions> qos;
+  /// Admission pricing, scheduling and the service's worker pool.
+  QosOptions qos;
 };
 
 /// Wire-supplied time grids are adversarial. Accepts only (range, window)
@@ -102,8 +100,6 @@ struct ServiceMetrics {
   std::uint64_t queue_depth = 0;        ///< queued or running right now
   double p50_ms = 0.0;                  ///< admission->completion latency
   double p99_ms = 0.0;
-  /// QoS-mode extras; all zero on a classic-FIFO service.
-  bool qos = false;
   std::uint64_t qos_workers = 0;          ///< live worker threads
   std::uint64_t qos_backlog_cost_us = 0;  ///< estimated queued cost
   std::array<std::uint64_t, qos::kClassCount> class_served{};
@@ -111,13 +107,16 @@ struct ServiceMetrics {
   std::array<double, qos::kClassCount> class_p99_ms{};
 };
 
-/// The RPC service over one Store: stateless query execution behind a
-/// deadline-aware bounded admission queue on the shared thread pool.
+/// The RPC service over one Store: stateless query execution behind the
+/// QoS scheduler's deadline-aware bounded admission, run on the
+/// service's own worker pool — never on the process-global pool that
+/// Store queries fan their decode out on.
 ///
 /// Threading contract: `submit` may be called from any thread (the
 /// server calls it from the event-loop thread). The `done` callback is
-/// invoked exactly once — inline for shed/drain rejections, on a pool
-/// thread otherwise. `emit` (subscription ticks) fires zero or more
+/// invoked exactly once — inline for drain rejections and sheds (for a
+/// shed queued request, on the thread whose arrival evicted it), on a
+/// pool worker otherwise. `emit` (subscription ticks) fires zero or more
 /// times strictly before `done`, always on the pool thread.
 class QueryService {
  public:
@@ -156,7 +155,7 @@ class QueryService {
   using StatsAugment = std::function<void(wire::ServerStatsWire&)>;
 
   /// Store-backed service: executor = `make_store_executor(store, ...)`.
-  /// In QoS mode the cost model's block counter defaults to this store.
+  /// The cost model's block counter defaults to this store.
   QueryService(const store::Store& store, ServiceOptions options = {});
   /// Custom-executor service (the cluster coordinator front-end).
   QueryService(Executor executor, ServiceOptions options = {});
@@ -184,17 +183,13 @@ class QueryService {
   /// Enqueue endpoint-internal work (background compaction) as a QoS
   /// citizen of `cls`: it waits its class turn, can be shed under
   /// pressure (it simply does not run — the caller's cadence retries),
-  /// and drain() waits for it. Falls back to the plain pool when QoS is
-  /// off. `cost_us` is the caller's estimate for backlog accounting and
-  /// shed ordering. `dropped` (optional) fires instead of `work` when
-  /// the item is shed or refused at admission (draining included), so
-  /// callers can release an in-flight latch.
+  /// and drain() waits for it. `cost_us` is the caller's estimate for
+  /// backlog accounting and shed ordering. `dropped` (optional) fires
+  /// instead of `work` when the item is shed or refused at admission
+  /// (draining included), so callers can release an in-flight latch.
   void submit_internal(qos::Class cls, std::uint64_t cost_us,
                        std::function<void()> work,
                        std::function<void()> dropped = nullptr);
-
-  /// True when this service runs the QoS scheduler (vs the classic FIFO).
-  [[nodiscard]] bool qos_enabled() const { return qos_sched_ != nullptr; }
 
   /// Execute one request body against the store, bypassing admission —
   /// the single code path the admitted worker and the in-process tests
@@ -233,24 +228,19 @@ class QueryService {
     Emit emit;
     Done done;
     ChunkWriter* stream = nullptr;
-    SubscribeSource subscribe;
     std::int64_t admitted_us = 0;
     std::int64_t deadline_us = 0;
     qos::Class cls = qos::kDefaultClass;
     std::uint64_t cost_us = 0;   ///< admission estimate
   };
 
-  void submit_qos(wire::Request request, CancelToken cancel, Emit emit,
-                  Done done, ChunkWriter* stream);
-  /// The admitted execution body both the FIFO and QoS paths share:
-  /// cancel/deadline gates, subscribe routing, executor call, finish.
-  void run_admitted(const std::shared_ptr<Admitted>& a, bool count_class);
-  void finish(std::int64_t admitted_us, std::optional<qos::Class> cls,
-              wire::Response&& response, const Done& done);
+  /// The admitted execution body: cancel/deadline gates, subscribe
+  /// routing, executor call, finish.
+  void run_admitted(const Admitted& a);
+  void finish(const Admitted& a, wire::Response&& response);
 
   Executor executor_;
   ServiceOptions options_;
-  util::ThreadPool& pool_;
   util::Clock& clock_;
   SubscribeSource subscribe_;
   std::vector<StatsAugment> stats_augments_;
@@ -267,16 +257,15 @@ class QueryService {
   std::uint64_t failed_ = 0;
   stream::P2Quantile lat_p50_;
   stream::P2Quantile lat_p99_;
-  /// QoS-mode state (null in classic FIFO mode). Per-class counters are
-  /// guarded by mu_ like the totals above. The pool is declared last so
-  /// it is destroyed (stopping its workers) before the scheduler and
-  /// cost model they pull from.
+  /// Per-class counters are guarded by mu_ like the totals above. The
+  /// pool is declared last so its workers start after, and stop before,
+  /// everything they touch.
   std::array<std::uint64_t, qos::kClassCount> class_served_{};
   std::array<std::uint64_t, qos::kClassCount> class_shed_{};
   std::array<stream::P2Quantile, qos::kClassCount> class_p99_;
-  std::unique_ptr<qos::CostModel> qos_cost_;
-  std::unique_ptr<qos::Scheduler> qos_sched_;
-  std::unique_ptr<qos::WorkerPool> qos_pool_;
+  qos::CostModel cost_;
+  qos::Scheduler sched_;
+  qos::WorkerPool workers_;
 };
 
 /// The canonical store-backed executor: every non-stats method of the

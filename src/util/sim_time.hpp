@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -81,12 +82,14 @@ class Clock {
 };
 
 /// Test clock: `now_us` advances only through `sleep_us`/`advance_us`,
-/// and every sleep is recorded for assertions.
+/// and every sleep is recorded for assertions. The time itself is
+/// atomic: worker threads (a service's idle pool heartbeat) read it
+/// while the test thread advances it.
 class ManualClock final : public Clock {
  public:
   explicit ManualClock(std::int64_t start_us = 0) : now_us_(start_us) {}
 
-  [[nodiscard]] std::int64_t now_us() override { return now_us_; }
+  [[nodiscard]] std::int64_t now_us() override { return now_us_.load(); }
   void sleep_us(std::int64_t us) override {
     sleeps_.push_back(us);
     advance_us(us);
@@ -97,7 +100,7 @@ class ManualClock final : public Clock {
   }
 
  private:
-  std::int64_t now_us_;
+  std::atomic<std::int64_t> now_us_;
   std::vector<std::int64_t> sleeps_;
 };
 

@@ -806,19 +806,28 @@ store::Store make_store(const std::string& dir) {
   return st;
 }
 
+/// QoS options pinned to exactly `n` workers: the autoscaler can neither
+/// grow nor shrink the pool, so queueing behind busy workers is
+/// deterministic.
+server::QosOptions fixed_workers(std::size_t n) {
+  server::QosOptions q;
+  q.pool.autoscaler.min_workers = n;
+  q.pool.autoscaler.max_workers = n;
+  return q;
+}
+
 struct ServiceFixture {
   store::Store store;
-  util::ThreadPool pool{1};  ///< single worker => deterministic queueing
   util::ManualClock clock;
   server::QueryService service;
 
   ServiceFixture(std::size_t queue_limit, const char* leaf)
       : store(make_store(store_dir(leaf))),
         service(store, {.queue_limit = queue_limit,
-                        .pool = &pool,
-                        .clock = &clock}) {}
+                        .clock = &clock,
+                        .qos = fixed_workers(1)}) {}
 
-  /// Occupy the single pool thread until `release` is satisfied.
+  /// Occupy the single worker until `release` is satisfied.
   std::future<void> block_pool(std::shared_future<void> release) {
     auto running = std::make_shared<std::promise<void>>();
     auto started = running->get_future();
@@ -843,23 +852,26 @@ server::QueryService::Done capture(std::promise<server::wire::Response>& p) {
 }
 
 TEST(Admission, FullQueueShedsWithResourceExhausted) {
-  ServiceFixture fx(/*queue_limit=*/2, "shed");
+  ServiceFixture fx(/*queue_limit=*/1, "shed");
   std::promise<void> release;
   fx.block_pool(release.get_future().share()).wait();
 
-  // Depth 1 (the blocker). One more fits...
+  // The blocker runs, so it holds no queue slot. One ping fits...
   std::promise<server::wire::Response> queued;
   server::wire::Request req;
   req.method = server::wire::Method::kPing;
   fx.service.submit(req, server::make_cancel_token(), {}, capture(queued));
 
-  // ...and the third is shed inline, with an explicit status — never a
-  // silent drop.
+  // ...and an identical, younger ping is the one shed, inline, with an
+  // explicit status and cost hint — never a silent drop.
   std::promise<server::wire::Response> shed;
   fx.service.submit(req, server::make_cancel_token(), {}, capture(shed));
   auto shed_resp = shed.get_future().get();
   EXPECT_EQ(shed_resp.status, server::wire::Status::kResourceExhausted);
-  EXPECT_NE(shed_resp.message.find("queue full"), std::string::npos);
+  EXPECT_NE(shed_resp.message.find("request shed (estimated cost"),
+            std::string::npos)
+      << shed_resp.message;
+  EXPECT_GT(shed_resp.shed_cost_hint_us, 0u);
   EXPECT_EQ(fx.service.metrics().shed, 1u);
 
   release.set_value();
@@ -965,6 +977,127 @@ TEST(Admission, SubscriptionEmitsTicksBeforeDone) {
                     capture(done));
   EXPECT_EQ(done.get_future().get().status, server::wire::Status::kOk);
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2}));
+}
+
+TEST(Admission, ConcurrentScansBeyondPoolSizeComplete) {
+  // Store::query_many fans its per-segment decode out on the process-
+  // global pool and blocks on the futures. Admitted requests therefore
+  // must not run on that pool: a burst of multi-segment scans wider than
+  // it would park every global worker on work queued behind itself.
+  const std::string dir = store_dir("wide_scans");
+  fs::remove_all(dir);
+  store::StoreOptions opts;
+  opts.segment_events = 12;  // one sealed segment per 3 s of 4 metrics
+  store::Store store = store::Store::open(dir, opts);
+  for (util::TimeSec t = 0; t < 120; ++t) {
+    std::vector<telemetry::MetricEvent> second;
+    for (std::uint32_t m = 0; m < 4; ++m) {
+      second.push_back({m, t, static_cast<std::int32_t>(500 + m + t % 7)});
+    }
+    store.append(std::move(second));
+  }
+  store.flush();
+  ASSERT_GE(store.sealed_segments(), 32u);
+
+  server::QueryService service(store);
+  server::wire::Request req;
+  req.method = server::wire::Method::kScan;
+  req.metrics = {0, 1, 2, 3};
+  req.range = {0, 120};
+  const std::size_t n = 4 * util::ThreadPool::global().size();
+  std::vector<std::promise<server::wire::Response>> done(n);
+  for (auto& p : done) {
+    service.submit(req, server::make_cancel_token(), {}, capture(p));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto fut = done[i].get_future();
+    ASSERT_EQ(fut.wait_until(deadline), std::future_status::ready)
+        << "scan " << i << " of " << n << " never completed";
+    const auto resp = fut.get();
+    EXPECT_EQ(resp.status, server::wire::Status::kOk) << resp.message;
+    EXPECT_EQ(resp.runs.size(), 4u);
+  }
+}
+
+// --- endpoint-internal work (submit_internal) ------------------------------
+
+TEST(InternalWork, BatchWorkRunsAndDrainWaitsForIt) {
+  ServiceFixture fx(8, "internal_run");
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::atomic<bool> ran{false};
+  std::atomic<bool> dropped{false};
+  fx.service.submit_internal(
+      qos::Class::kBatch, 1000,
+      [&] {
+        started.set_value();
+        gate.wait();
+        ran.store(true);
+      },
+      [&] { dropped.store(true); });
+  started.get_future().wait();
+  EXPECT_EQ(fx.service.metrics().queue_depth, 1u);
+
+  auto drained = std::async(std::launch::async, [&] { fx.service.drain(); });
+  // The work is still running: drain must not return under it.
+  EXPECT_EQ(drained.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  release.set_value();
+  ASSERT_EQ(drained.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_TRUE(ran.load());
+  EXPECT_FALSE(dropped.load());
+  const auto m = fx.service.metrics();
+  EXPECT_EQ(m.queue_depth, 0u);
+  EXPECT_EQ(m.accepted, 0u);  // internal work is not a request
+}
+
+TEST(InternalWork, ShedUnderFullQueueFiresDroppedNeverWork) {
+  ServiceFixture fx(/*queue_limit=*/1, "internal_shed");
+  std::promise<void> release;
+  fx.block_pool(release.get_future().share()).wait();
+
+  // Queued behind the blocker: the queue's only slot.
+  std::atomic<bool> ran{false};
+  std::promise<void> dropped;
+  fx.service.submit_internal(
+      qos::Class::kBatch, 1000, [&] { ran.store(true); },
+      [&] { dropped.set_value(); });
+  EXPECT_EQ(fx.service.metrics().queue_depth, 2u);
+
+  // A normal-class ping outranks queued batch work: the batch item is
+  // the one shed, and its owner hears about it through `dropped`.
+  std::promise<server::wire::Response> ping;
+  server::wire::Request req;
+  req.method = server::wire::Method::kPing;
+  fx.service.submit(req, server::make_cancel_token(), {}, capture(ping));
+  auto was_dropped = dropped.get_future();
+  ASSERT_EQ(was_dropped.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+
+  release.set_value();
+  EXPECT_EQ(ping.get_future().get().status, server::wire::Status::kOk);
+  fx.service.drain();
+  EXPECT_FALSE(ran.load()) << "shed internal work still ran";
+  const auto m = fx.service.metrics();
+  EXPECT_EQ(m.queue_depth, 0u);
+  EXPECT_EQ(m.shed, 0u);  // internal sheds are not request sheds
+}
+
+TEST(InternalWork, CallAfterDrainFiresDropped) {
+  ServiceFixture fx(8, "internal_drained");
+  fx.service.drain();
+  bool ran = false;
+  bool dropped = false;
+  fx.service.submit_internal(
+      qos::Class::kBatch, 1000, [&] { ran = true; },
+      [&] { dropped = true; });
+  EXPECT_TRUE(dropped);  // inline: nothing was queued
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(fx.service.metrics().queue_depth, 0u);
 }
 
 // --- adversarial request bodies ------------------------------------------
@@ -1614,8 +1747,8 @@ TEST(Backpressure, CancelWhileParkedFreesTheAdmissionSlot) {
   // and the admission slot comes back — queue depth to zero, the request
   // accounted as cancelled, never a ghost occupying the pool.
   store::Store store = make_store(store_dir("cancel_slot"));
-  util::ThreadPool pool{1};
-  server::QueryService service(store, {.queue_limit = 4, .pool = &pool});
+  server::QueryService service(store,
+                               {.queue_limit = 4, .qos = fixed_workers(1)});
 
   StubSink sink(/*budget=*/600);
   auto token = server::make_cancel_token();
@@ -1951,10 +2084,9 @@ class WithServerAt : public ::testing::TestWithParam<HerdParam> {
          std::to_string(p.connections))
             .c_str())));
     fds_before_ = open_fd_count();
-    pool_ = std::make_unique<util::ThreadPool>(p.workers);
     service_ = std::make_unique<server::QueryService>(
         *store_, server::ServiceOptions{.queue_limit = p.connections + 8,
-                                        .pool = pool_.get()});
+                                        .qos = fixed_workers(p.workers)});
     server_ = std::make_unique<server::Server>(*service_);
     loop_ = std::thread([this] { server_->run(); });
   }
@@ -1976,7 +2108,6 @@ class WithServerAt : public ::testing::TestWithParam<HerdParam> {
     server_->drain();
     server_.reset();
     service_.reset();
-    pool_.reset();
 
     // Leak check: with the loop (epoll fd, wake pipe, listener, every
     // connection) torn down, the process is back to its baseline.
@@ -1996,7 +2127,6 @@ class WithServerAt : public ::testing::TestWithParam<HerdParam> {
   }
 
   std::unique_ptr<store::Store> store_;
-  std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<server::QueryService> service_;
   std::unique_ptr<server::Server> server_;
   std::thread loop_;

@@ -120,7 +120,6 @@
 #include "util/flags.hpp"
 #include "util/signal.hpp"
 #include "util/text_table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -146,7 +145,7 @@ int usage() {
       "                                                   compaction crash"
       " gate\n"
       "  serve    --store DIR --port P [--queue N --deadline MS]\n"
-      "           [--no-qos --min-workers N --max-workers N]\n"
+      "           [--min-workers N --max-workers N]\n"
       "           [--auto-compact --compact-interval S]    TCP query service\n"
       "  servecheck --nodes N --minutes M --store DIR     loopback wire-parity"
       " gate\n"
@@ -470,23 +469,15 @@ int analyze_endpoint(const std::string& spec) {
   } else {
     std::printf("upstream: none (single-store server)\n");
   }
-  // A classic-FIFO server reports all-zero QoS counters; printing them
-  // would only mislead.
-  std::uint64_t qos_activity = s.qos_workers;
+  std::printf("qos: %llu worker(s), backlog %llu us estimated\n",
+              static_cast<unsigned long long>(s.qos_workers),
+              static_cast<unsigned long long>(s.qos_backlog_cost_us));
   for (std::size_t c = 0; c < qos::kClassCount; ++c) {
-    qos_activity += s.qos_served[c] + s.qos_shed[c];
-  }
-  if (qos_activity > 0) {
-    std::printf("qos: %llu worker(s), backlog %llu us estimated\n",
-                static_cast<unsigned long long>(s.qos_workers),
-                static_cast<unsigned long long>(s.qos_backlog_cost_us));
-    for (std::size_t c = 0; c < qos::kClassCount; ++c) {
-      std::printf("  %-11s %llu served, %llu shed, p99 %.2f ms\n",
-                  qos::class_name(static_cast<qos::Class>(c)),
-                  static_cast<unsigned long long>(s.qos_served[c]),
-                  static_cast<unsigned long long>(s.qos_shed[c]),
-                  static_cast<double>(s.qos_p99_us[c]) / 1000.0);
-    }
+    std::printf("  %-11s %llu served, %llu shed, p99 %.2f ms\n",
+                qos::class_name(static_cast<qos::Class>(c)),
+                static_cast<unsigned long long>(s.qos_served[c]),
+                static_cast<unsigned long long>(s.qos_shed[c]),
+                static_cast<double>(s.qos_p99_us[c]) / 1000.0);
   }
   return 0;
 }
@@ -1217,17 +1208,15 @@ void print_service_report(const server::ServiceMetrics& m,
       static_cast<unsigned long long>(m.cancelled),
       static_cast<unsigned long long>(m.failed),
       static_cast<unsigned long long>(m.queue_depth), m.p50_ms, m.p99_ms);
-  if (m.qos) {
-    std::printf("qos: %llu worker(s), backlog %llu us estimated\n",
-                static_cast<unsigned long long>(m.qos_workers),
-                static_cast<unsigned long long>(m.qos_backlog_cost_us));
-    for (std::size_t c = 0; c < qos::kClassCount; ++c) {
-      std::printf("  %-11s %llu served, %llu shed, p99 %.2f ms\n",
-                  qos::class_name(static_cast<qos::Class>(c)),
-                  static_cast<unsigned long long>(m.class_served[c]),
-                  static_cast<unsigned long long>(m.class_shed[c]),
-                  m.class_p99_ms[c]);
-    }
+  std::printf("qos: %llu worker(s), backlog %llu us estimated\n",
+              static_cast<unsigned long long>(m.qos_workers),
+              static_cast<unsigned long long>(m.qos_backlog_cost_us));
+  for (std::size_t c = 0; c < qos::kClassCount; ++c) {
+    std::printf("  %-11s %llu served, %llu shed, p99 %.2f ms\n",
+                qos::class_name(static_cast<qos::Class>(c)),
+                static_cast<unsigned long long>(m.class_served[c]),
+                static_cast<unsigned long long>(m.class_shed[c]),
+                m.class_p99_ms[c]);
   }
   std::printf(
       "transport: %llu conns (%llu closed), %llu frames in / %llu out, "
@@ -1258,27 +1247,23 @@ int cmd_serve(const util::Flags& flags) {
       static_cast<std::size_t>(flags.get_int("queue", 256));
   options.service.default_deadline_ms =
       static_cast<std::uint32_t>(flags.get_int("deadline", 0));
-  const bool qos_on = !flags.has("no-qos");
-  if (qos_on) {
-    server::QosOptions q;
-    // Calibrate unit costs from the codec bench when its JSON is around;
-    // defaults otherwise — pricing only needs to be proportionate.
-    q.cost = qos::CostProfile::from_bench_json(
-        flags.get("bench-codec", "BENCH_codec.json"));
-    q.pool.autoscaler.min_workers =
-        static_cast<std::size_t>(flags.get_int("min-workers", 1));
-    q.pool.autoscaler.max_workers =
-        static_cast<std::size_t>(flags.get_int("max-workers", 0));
-    options.service.qos = std::move(q);
-  }
+  server::QosOptions& q = options.service.qos;
+  // Calibrate unit costs from the codec bench when its JSON is around;
+  // defaults otherwise — pricing only needs to be proportionate.
+  q.cost = qos::CostProfile::from_bench_json(
+      flags.get("bench-codec", "BENCH_codec.json"));
+  q.pool.autoscaler.min_workers =
+      static_cast<std::size_t>(flags.get_int("min-workers", 1));
+  q.pool.autoscaler.max_workers =
+      static_cast<std::size_t>(flags.get_int("max-workers", 0));
   server::Server server(store, options);
   server.service().set_subscribe_source(make_replay_source(store));
 
   util::SignalTrap trap;
-  std::printf("serving on 127.0.0.1:%u (queue %zu, default deadline %u ms, "
-              "qos %s) — Ctrl-C drains\n",
+  std::printf("serving on 127.0.0.1:%u (queue %zu, default deadline %u ms) "
+              "— Ctrl-C drains\n",
               server.port(), options.service.queue_limit,
-              options.service.default_deadline_ms, qos_on ? "on" : "off");
+              options.service.default_deadline_ms);
 
   // --auto-compact: periodic store compaction rides the QoS queue as a
   // batch-class citizen — it waits its class turn behind paying traffic
@@ -1394,12 +1379,10 @@ int cmd_servecheck(const util::Flags& flags) {
     const std::vector<machine::NodeId> nodes = power_nodes(store);
     const int channel =
         telemetry::channel_of(telemetry::MetricKind::kInputPower, 0);
-    // QoS on: a class-less client over the QoS scheduler must stay
+    // A class-less client through the QoS scheduler must stay
     // bit-identical to the direct store call — the parity sweep below is
-    // the proof that enabling QoS changes nothing for legacy traffic.
-    server::ServerOptions sopts;
-    sopts.service.qos.emplace();
-    server::Server server(store, sopts);
+    // the proof that admission changes nothing for the answer.
+    server::Server server(store, {});
     server.service().set_subscribe_source(make_replay_source(store));
     std::thread loop([&] { server.run(); });
 
@@ -1600,9 +1583,7 @@ int cmd_servecheck(const util::Flags& flags) {
       const std::vector<machine::NodeId> nodes = power_nodes(store);
       const int channel =
           telemetry::channel_of(telemetry::MetricKind::kInputPower, 0);
-      server::ServerOptions sopts;
-      sopts.service.qos.emplace();  // degraded reads through QoS too
-      server::Server server(store, sopts);
+      server::Server server(store, {});
       std::thread loop([&] { server.run(); });
       server::ClientOptions copts;
       copts.port = server.port();
@@ -1802,20 +1783,11 @@ int cmd_clustercheck(const util::Flags& flags) {
     std::unique_ptr<server::Server> server;
     std::thread loop;
   };
-  // Every in-process service would otherwise share the process-global
-  // worker pool; on a small machine a coordinator leg parked there would
-  // starve the very shard services it is waiting on. Give each service
-  // its own pool, as separate server processes naturally have.
-  std::vector<std::unique_ptr<util::ThreadPool>> pools;
-  const auto start_shard = [&pools](store::Store& st) {
+  // Coordinator parity below doubles as proof that class-less scatter
+  // legs through each shard's QoS scheduler stay bit-identical.
+  const auto start_shard = [](store::Store& st) {
     ShardServer s;
-    pools.push_back(std::make_unique<util::ThreadPool>(1));
-    server::ServerOptions opts;
-    opts.service.pool = pools.back().get();
-    // Shards run the QoS scheduler: coordinator parity below doubles as
-    // proof that class-less scatter legs through QoS stay bit-identical.
-    opts.service.qos.emplace();
-    s.server = std::make_unique<server::Server>(st, opts);
+    s.server = std::make_unique<server::Server>(st);
     s.loop = std::thread([srv = s.server.get()] { srv->run(); });
     return s;
   };
@@ -1838,10 +1810,7 @@ int cmd_clustercheck(const util::Flags& flags) {
   // pruned planning path exercised.
   copts.prune = true;
   cluster::Coordinator coordinator(std::move(copts));
-  util::ThreadPool front_pool(2);
-  server::ServiceOptions front_options;
-  front_options.pool = &front_pool;
-  server::QueryService front(coordinator.executor(), front_options);
+  server::QueryService front(coordinator.executor());
   front.set_stats_augment([&](server::wire::ServerStatsWire& s) {
     coordinator.augment_stats(s);
   });
@@ -2149,11 +2118,9 @@ int cmd_qoscheck(const util::Flags& flags) {
   // a four-deep queue make overload reproducible at tiny request counts.
   {
     server::ServerOptions sopts;
-    server::QosOptions q;
-    q.pool.autoscaler.min_workers = 1;
-    q.pool.autoscaler.max_workers = 1;
+    sopts.service.qos.pool.autoscaler.min_workers = 1;
+    sopts.service.qos.pool.autoscaler.max_workers = 1;
     sopts.service.queue_limit = 4;
-    sopts.service.qos = q;
     server::Server server(store, sopts);
     server.service().set_subscribe_source(make_replay_source(store));
     std::thread loop([&] { server.run(); });
@@ -2363,9 +2330,7 @@ int cmd_qoscheck(const util::Flags& flags) {
     std::vector<ShardServer> servers;
     for (auto& st : shards) {
       ShardServer s;
-      server::ServerOptions opts;
-      opts.service.qos.emplace();
-      s.server = std::make_unique<server::Server>(*st, opts);
+      s.server = std::make_unique<server::Server>(*st);
       s.loop = std::thread([srv = s.server.get()] { srv->run(); });
       servers.push_back(std::move(s));
     }
@@ -2737,16 +2702,16 @@ int cmd_scenariocheck(const util::Flags& flags) {
     server.drain();
   }
 
-  // Cancelled sweep frees its admission slot. A 1-thread pool pins sweep
-  // A on the only worker; sweep B queues behind it; B's client vanishes
-  // while A streams. When the worker reaches B its cancel token has long
-  // been tripped, so B must resolve kCancelled — and the service
+  // Cancelled sweep frees its admission slot. A one-worker pool pins
+  // sweep A on the only worker; sweep B queues behind it; B's client
+  // vanishes while A streams. When the worker reaches B its cancel token
+  // has long been tripped, so B must resolve kCancelled — and the service
   // counters, read over the wire as server_stats, must show the slot
   // returned (depth 0) with the cancellation accounted.
   {
-    util::ThreadPool pool(1);
     server::ServerOptions sopts;
-    sopts.service.pool = &pool;
+    sopts.service.qos.pool.autoscaler.min_workers = 1;
+    sopts.service.qos.pool.autoscaler.max_workers = 1;
     store::Store fresh = store::Store::open(dir, store_options);
     server::Server server(fresh, sopts);
     std::thread loop([&] { server.run(); });
