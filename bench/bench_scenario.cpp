@@ -5,14 +5,14 @@
 // sweep stops being an interactive operator tool. The artifact lands a
 // node-structured input-power feed in a real store, fetches the runs
 // once (exactly what the service executor does), fans a cap/outage
-// sweep across worker threads, and gates on the sustained replayed-event
-// rate; then google-benchmark timings of the kernels underneath.
+// sweep across the global compute pool, and gates on the sustained
+// replayed-event rate; then google-benchmark timings of the kernels
+// underneath.
 
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -25,6 +25,7 @@
 #include "ts/series.hpp"
 #include "util/rng.hpp"
 #include "util/text_table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -119,12 +120,10 @@ void print_artifact() {
     variants.push_back(std::move(spec));
   }
 
-  scenario::SweepOptions sweep;
-  const unsigned hw = std::thread::hardware_concurrency();
-  sweep.threads = std::min<std::size_t>(variants.size(), hw > 0 ? hw : 2);
+  const std::size_t workers = util::ThreadPool::global().size();
 
   const auto t0 = Clock::now();
-  const auto results = scenario::run_sweep(runs, base, variants, sweep);
+  const auto results = scenario::run_sweep(runs, base, variants);
   const double elapsed =
       std::chrono::duration<double>(Clock::now() - t0).count();
 
@@ -138,7 +137,7 @@ void print_artifact() {
   std::printf("%zu variants x %lld s of %d-node feed on %zu workers: "
               "%llu events re-fed in %.2f s, %s\n",
               variants.size(), static_cast<long long>(span), nodes,
-              sweep.threads, static_cast<unsigned long long>(fed), elapsed,
+              workers, static_cast<unsigned long long>(fed), elapsed,
               util::fmt_si(rate, "events/s", 2).c_str());
   std::printf("scenario sweep read: %s (%.2fx the 462,600 events/s feed)\n\n",
               bench::verdict(rate >= target), rate / target);
@@ -147,7 +146,7 @@ void print_artifact() {
   json.add("variants", static_cast<std::uint64_t>(variants.size()));
   json.add("nodes", static_cast<std::uint64_t>(nodes));
   json.add("span_seconds", static_cast<std::uint64_t>(span));
-  json.add("workers", static_cast<std::uint64_t>(sweep.threads));
+  json.add("workers", static_cast<std::uint64_t>(workers));
   json.add("events_replayed", fed);
   json.add("sweep_seconds", elapsed);
   json.add("events_per_second", rate);

@@ -1,11 +1,11 @@
 #include "cluster/coordinator.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
-#include <optional>
 
 #include "cluster/merge.hpp"
-#include "net/fanout.hpp"
+#include "net/socket.hpp"
 #include "store/store.hpp"
 #include "stream/replay.hpp"
 #include "telemetry/metric.hpp"
@@ -51,6 +51,7 @@ constexpr std::size_t kMaxScanIds = 4096;
 }  // namespace
 
 struct Coordinator::Link {
+  /// Guards the client and the counters; held for one leg at a time.
   mutable std::mutex mu;
   Endpoint endpoint;
   std::unique_ptr<server::Client> client;
@@ -58,6 +59,8 @@ struct Coordinator::Link {
   /// replaces the Client but history must not reset).
   server::ClientStats retired;
   ShardStats stats;
+  /// Guarded by Coordinator::dir_mu_, not `mu`: planning a scatter must
+  /// not wait behind another scatter's legs in flight.
   bool directory_valid = false;
   wire::DirectoryWire directory;
 };
@@ -81,62 +84,142 @@ Coordinator::Coordinator(CoordinatorOptions options)
 
 Coordinator::~Coordinator() = default;
 
-wire::Response Coordinator::call_shard(Link& link, wire::Request request,
-                                       std::int64_t deadline_us) {
-  // The scatter leg inherits whatever is left of the parent's absolute
-  // deadline; with no parent deadline the sub-request keeps the parent's
-  // own relative one (usually 0 = client timeout only).
-  if (deadline_us != 0) {
-    const std::int64_t left_ms = (deadline_us - clock_.now_us()) / 1000;
-    request.deadline_ms = static_cast<std::uint32_t>(
-        std::clamp<std::int64_t>(left_ms, 1, 0xffffffffLL));
-  }
+void Coordinator::run_legs(const std::vector<std::size_t>& shards,
+                           wire::Request request, std::int64_t deadline_us,
+                           const LegDone& done) {
   // Scan legs stream back chunked (unless the caller already chose a
   // size): results are identical byte-for-byte, the shard just never
-  // materializes the leg. Old shards trigger the Client's downgrade.
+  // materializes the leg.
   if (request.method == wire::Method::kScan &&
       options_.leg_chunk_bytes != 0 && request.chunk_bytes == 0) {
     request.chunk_bytes = options_.leg_chunk_bytes;
   }
-  ++link.stats.calls;
-  const std::int64_t t0 = clock_.now_us();
-  wire::Response resp;
-  try {
-    resp = link.client->call(request);
-  } catch (const net::NetError&) {
-    ++link.stats.transport_errors;
-    link.stats.up = false;
-    throw;
+  // A leg holds its link's lock from its first send until its reply is
+  // consumed or it has failed for good: owning the lock means "open".
+  struct Leg {
+    Link* link = nullptr;
+    std::size_t shard = 0;
+    std::unique_lock<std::mutex> lock;
+    server::Client::Pending pending;
+    bool sent = false;
+    std::int64_t first_send_us = 0;
+  };
+  const auto send = [&](Leg& leg) {
+    // Every leg inherits whatever is left of the parent's absolute
+    // deadline; with no parent deadline the sub-request keeps the
+    // parent's own relative one (usually 0 = client timeout only).
+    if (deadline_us != 0) {
+      const std::int64_t left_ms = (deadline_us - clock_.now_us()) / 1000;
+      request.deadline_ms = static_cast<std::uint32_t>(
+          std::clamp<std::int64_t>(left_ms, 1, 0xffffffffLL));
+    }
+    try {
+      leg.pending = leg.link->client->start(request);
+      leg.sent = true;
+    } catch (const net::NetError&) {
+      leg.sent = false;  // goes again next round
+    }
+  };
+  // Links are locked in index order — one fixed order, so concurrent
+  // scatters cannot deadlock — and each leg is sent as soon as its lock
+  // is held, so a concurrent scatter starts on a shard the moment this
+  // one's leg there is done.
+  std::vector<Leg> legs(shards.size());
+  for (std::size_t k = 0; k < shards.size(); ++k) {
+    Leg& leg = legs[k];
+    leg.link = links_[shards[k]].get();
+    leg.shard = shards[k];
+    leg.lock = std::unique_lock(leg.link->mu);
+    ++leg.link->stats.calls;
+    leg.first_send_us = clock_.now_us();
+    send(leg);
   }
-  const auto lat = static_cast<std::uint64_t>(clock_.now_us() - t0);
-  link.stats.latency_us_total += lat;
-  link.stats.latency_us_max = std::max(link.stats.latency_us_max, lat);
-  link.stats.up = true;
-  switch (resp.status) {
-    case wire::Status::kOk: ++link.stats.ok; break;
-    case wire::Status::kResourceExhausted: ++link.stats.shed; break;
-    case wire::Status::kDeadlineExceeded:
-      ++link.stats.deadline_exceeded;
-      break;
-    default: ++link.stats.other_errors; break;
+  // Rounds: a leg whose send or read failed reconnects and goes again,
+  // up to the client's reconnect budget — the attempts Client::call
+  // makes for one request. In a round every open leg waits a full
+  // request timeout from the end of the sends (also one sent before this
+  // scatter waited for a later link's lock), and the replies are read as
+  // they arrive, so k stalled shards cost one timeout, not k, and no
+  // reply waits behind a slower one.
+  for (int round = 0;; ++round) {
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(options_.request_timeout_ms);
+    for (Leg& leg : legs) {
+      leg.pending.deadline = std::max(leg.pending.deadline, until);
+    }
+    for (;;) {
+      std::vector<int> fds;
+      auto wake = until;
+      for (const Leg& leg : legs) {
+        if (!leg.lock.owns_lock() || !leg.sent) continue;
+        fds.push_back(leg.link->client->fd());
+        wake = std::min(wake, leg.pending.deadline);
+      }
+      if (fds.empty()) break;
+      (void)net::wait_any_readable(fds, net::remaining_ms(wake));
+      for (Leg& leg : legs) {
+        if (!leg.lock.owns_lock() || !leg.sent) continue;
+        std::optional<wire::Response> reply;
+        try {
+          reply = leg.link->client->try_finish(leg.pending);
+        } catch (const net::NetError&) {
+          leg.sent = false;  // goes again next round
+          continue;
+        }
+        if (!reply) continue;
+        ShardStats& stats = leg.link->stats;
+        const auto lat =
+            static_cast<std::uint64_t>(clock_.now_us() - leg.first_send_us);
+        stats.latency_us_total += lat;
+        stats.latency_us_max = std::max(stats.latency_us_max, lat);
+        stats.up = true;
+        switch (reply->status) {
+          case wire::Status::kOk: ++stats.ok; break;
+          case wire::Status::kResourceExhausted: ++stats.shed; break;
+          case wire::Status::kDeadlineExceeded: ++stats.deadline_exceeded; break;
+          default: ++stats.other_errors; break;
+        }
+        done(*leg.link, leg.shard, std::move(reply));
+        leg.lock.unlock();
+      }
+    }
+    const bool open = std::any_of(legs.begin(), legs.end(), [](const Leg& l) {
+      return l.lock.owns_lock();
+    });
+    if (!open || round == options_.max_reconnects) break;
+    for (Leg& leg : legs) {
+      if (leg.lock.owns_lock()) send(leg);
+    }
   }
-  return resp;
+  for (Leg& leg : legs) {
+    if (!leg.lock.owns_lock()) continue;
+    ++leg.link->stats.transport_errors;
+    leg.link->stats.up = false;
+    done(*leg.link, leg.shard, std::nullopt);
+  }
 }
 
-void Coordinator::ensure_directory(Link& link, std::int64_t deadline_us) {
-  if (link.directory_valid) return;
+void Coordinator::ensure_directories(std::int64_t deadline_us) {
+  std::vector<std::size_t> missing;
+  {
+    std::lock_guard lk(dir_mu_);
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+      if (!links_[i]->directory_valid) missing.push_back(i);
+    }
+  }
+  if (missing.empty()) return;
   wire::Request req;
   req.method = wire::Method::kDirectory;
-  try {
-    wire::Response resp = call_shard(link, req, deadline_us);
-    if (resp.status == wire::Status::kOk) {
-      link.directory = std::move(resp.directory);
-      link.directory_valid = true;
-    }
-  } catch (const net::NetError&) {
-    // Shard unreachable: plan without it (the query leg will charge the
-    // loss); a stale directory from before the outage stays usable.
-  }
+  run_legs(missing, req, deadline_us,
+           [this](Link& link, std::size_t,
+                  std::optional<wire::Response> reply) {
+             // An unreachable shard is planned without a directory (its
+             // query leg will charge the loss).
+             if (!reply || reply->status != wire::Status::kOk) return;
+             std::lock_guard lk(dir_mu_);
+             link.directory = std::move(reply->directory);
+             link.directory_valid = true;
+           });
 }
 
 std::uint64_t Coordinator::lost_cost(const Link& link,
@@ -162,36 +245,41 @@ std::vector<wire::Response> Coordinator::scatter(const wire::Request& sub,
                                                  util::TimeRange range,
                                                  std::int64_t deadline_us,
                                                  store::QueryStats* stats) {
-  const auto outcomes = net::fan_out(
-      links_.size(),
-      [&](std::size_t i) -> std::optional<wire::Response> {
-        Link& link = *links_[i];
-        std::lock_guard lk(link.mu);
-        ensure_directory(link, deadline_us);
-        if (options_.prune && !may_hold(link, range)) return std::nullopt;
-        return call_shard(link, sub, deadline_us);
-      });
-
-  std::vector<wire::Response> oks;
-  oks.reserve(outcomes.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    Link& link = *links_[i];
-    if (outcomes[i].ok && !outcomes[i].value.has_value()) {
-      continue;  // pruned: provably holds nothing in range
-    }
-    if (outcomes[i].ok && outcomes[i].value->status == wire::Status::kOk) {
-      oks.push_back(std::move(*outcomes[i].value));
-      if (stats != nullptr) stats->merge(oks.back().stats);
-      continue;
-    }
-    // Transport failure or an unhealthy status (shed / expired /
-    // draining): this shard's contribution is lost, not wrong — charge
-    // its directory overlap and let the merge carry on without it.
-    if (stats != nullptr) {
-      std::lock_guard lk(link.mu);
-      stats->lost_segments += lost_cost(link, range);
+  ensure_directories(deadline_us);
+  std::vector<std::size_t> shards;
+  {
+    std::lock_guard lk(dir_mu_);
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+      // Pruned: provably holds nothing in range.
+      if (!options_.prune || may_hold(*links_[i], range)) shards.push_back(i);
     }
   }
+  std::vector<std::optional<wire::Response>> slots(links_.size());
+  std::uint64_t lost = 0;
+  run_legs(shards, sub, deadline_us,
+           [&](Link& link, std::size_t shard,
+               std::optional<wire::Response> reply) {
+             if (reply && reply->status == wire::Status::kOk) {
+               slots[shard] = std::move(reply);
+               return;
+             }
+             // Transport failure or an unhealthy status (shed / expired /
+             // draining): this shard's contribution is lost, not wrong —
+             // charge its directory overlap and let the merge carry on
+             // without it.
+             std::lock_guard lk(dir_mu_);
+             lost += lost_cost(link, range);
+           });
+  // Shard order, whatever order the replies arrived in: the merges sum
+  // floating point, so their order is part of the answer.
+  std::vector<wire::Response> oks;
+  oks.reserve(shards.size());
+  for (std::optional<wire::Response>& slot : slots) {
+    if (!slot) continue;
+    oks.push_back(std::move(*slot));
+    if (stats != nullptr) stats->merge(oks.back().stats);
+  }
+  if (stats != nullptr) stats->lost_segments += lost;
   return oks;
 }
 
@@ -472,13 +560,11 @@ void Coordinator::augment_stats(wire::ServerStatsWire& server) const {
 }
 
 void Coordinator::refresh_directories() {
-  (void)net::fan_out(links_.size(), [&](std::size_t i) {
-    Link& link = *links_[i];
-    std::lock_guard lk(link.mu);
-    link.directory_valid = false;
-    ensure_directory(link, 0);
-    return 0;
-  });
+  {
+    std::lock_guard lk(dir_mu_);
+    for (const auto& link : links_) link->directory_valid = false;
+  }
+  ensure_directories(0);
 }
 
 void Coordinator::set_endpoint(std::size_t shard, Endpoint endpoint) {
@@ -496,6 +582,7 @@ void Coordinator::set_endpoint(std::size_t shard, Endpoint endpoint) {
       std::make_unique<server::Client>(client_options(endpoint, options_));
   link.stats.endpoint = endpoint.host + ":" + std::to_string(endpoint.port);
   link.stats.up = true;
+  std::lock_guard dir_lk(dir_mu_);
   link.directory_valid = false;
   link.directory = {};
 }
@@ -519,14 +606,9 @@ std::vector<ShardStats> Coordinator::shard_stats() const {
 util::TimeRange Coordinator::bounds() {
   util::TimeRange hull{0, 0};
   bool any = false;
-  (void)net::fan_out(links_.size(), [&](std::size_t i) {
-    Link& link = *links_[i];
-    std::lock_guard lk(link.mu);
-    ensure_directory(link, 0);
-    return 0;
-  });
+  ensure_directories(0);
+  std::lock_guard lk(dir_mu_);
   for (const auto& link : links_) {
-    std::lock_guard lk(link->mu);
     if (!link->directory_valid || link->directory.total_events == 0) {
       continue;
     }

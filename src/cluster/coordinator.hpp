@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,7 +25,7 @@ struct Endpoint {
 
 struct CoordinatorOptions {
   std::vector<Endpoint> shards;
-  /// Per-shard client budgets (each scatter leg is one Client::call).
+  /// Per-shard client budgets; a scatter makes max_reconnects + 1 rounds.
   int connect_timeout_ms = 2000;
   int request_timeout_ms = 5000;
   int max_reconnects = 1;
@@ -40,8 +42,7 @@ struct CoordinatorOptions {
   bool prune = false;
   /// Scatter kScan legs as chunked streams of about this payload size,
   /// so a shard's scan flows through its stream gate instead of
-  /// materializing per leg. 0 = classic single-frame legs. Safe against
-  /// old shards: the Client's per-connection downgrade retries plain.
+  /// materializing per leg. 0 = classic single-frame legs.
   std::uint32_t leg_chunk_bytes = 256 << 10;
 };
 
@@ -57,7 +58,7 @@ struct ShardStats {
   std::uint64_t transport_errors = 0;   ///< NetError after client retries
   std::uint64_t reconnect_attempts = 0;
   std::uint64_t reconnect_successes = 0;
-  std::uint64_t latency_us_total = 0;   ///< over completed legs (any status)
+  std::uint64_t latency_us_total = 0;   ///< leg's first send to its reply
   std::uint64_t latency_us_max = 0;
 
   [[nodiscard]] double mean_latency_ms() const {
@@ -70,10 +71,11 @@ struct ShardStats {
 
 /// Scatter-gather front-end over N shard query servers. Plans each read
 /// against cached per-shard segment directories (time-range pruning),
-/// scatters sub-queries concurrently through one `server::Client` per
-/// shard with the parent's remaining deadline, and merges partials back
-/// into the single-store answer shapes — bit-identical to one Store
-/// holding the union of the shards (the `clustercheck` gate).
+/// sends every shard its sub-query (one `server::Client` per shard, the
+/// parent's remaining deadline) before reading any reply, reads the
+/// replies as they arrive, and merges
+/// partials back into the single-store answer shapes — bit-identical to
+/// one Store holding the union of the shards (the `clustercheck` gate).
 ///
 /// Degraded reads: a shard that is down, times out, or sheds does not
 /// fail the query. Its would-have-been contribution is charged to
@@ -82,9 +84,10 @@ struct ShardStats {
 /// shards that answered — partial results with honest accounting, never
 /// wrong values, mirroring the store's damaged-segment contract.
 ///
-/// Thread-safe: concurrent execute() calls are fine; each shard link
-/// serializes its connection behind a mutex (one request in flight per
-/// connection is the Client's contract).
+/// Thread-safe: concurrent execute() calls are fine; a leg holds its
+/// shard link's lock from its send until its reply (one request in
+/// flight per connection is the Client's contract), so concurrent
+/// scatters take turns per shard, not per scatter.
 class Coordinator {
  public:
   explicit Coordinator(CoordinatorOptions options);
@@ -129,9 +132,17 @@ class Coordinator {
  private:
   struct Link;
 
-  [[nodiscard]] wire::Response call_shard(Link& link, wire::Request request,
-                                          std::int64_t deadline_us);
-  void ensure_directory(Link& link, std::int64_t deadline_us);
+  /// Consumes one leg's reply (nullopt: transport failure after every
+  /// reconnect round) with its link's lock held.
+  using LegDone = std::function<void(Link& link, std::size_t shard,
+                                     std::optional<wire::Response> reply)>;
+
+  /// Send `request` to `shards` (ascending), read the replies as they
+  /// arrive and hand each to `done`; failed legs reconnect in rounds.
+  void run_legs(const std::vector<std::size_t>& shards, wire::Request request,
+                std::int64_t deadline_us, const LegDone& done);
+  /// Fetch the directory of every link that has none.
+  void ensure_directories(std::int64_t deadline_us);
   [[nodiscard]] std::uint64_t lost_cost(const Link& link,
                                         util::TimeRange range) const;
   [[nodiscard]] bool may_hold(const Link& link, util::TimeRange range) const;
@@ -145,6 +156,9 @@ class Coordinator {
   CoordinatorOptions options_;
   util::Clock& clock_;
   std::vector<std::unique_ptr<Link>> links_;
+  /// Guards every link's directory; taken after a link's `mu`, never
+  /// before it.
+  mutable std::mutex dir_mu_;
 };
 
 }  // namespace exawatt::cluster

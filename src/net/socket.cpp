@@ -49,16 +49,21 @@ IoResult classify_io(ssize_t n, bool is_read) {
   return {IoStatus::kError, 0};
 }
 
-bool poll_one(int fd, short events, int timeout_ms) {
-  pollfd p{fd, events, 0};
+/// True when any of `fds` is ready, false on timeout.
+bool poll_fds(pollfd* fds, std::size_t n, int timeout_ms) {
   for (;;) {
-    const int rc = ::poll(&p, 1, timeout_ms);
+    const int rc = ::poll(fds, n, timeout_ms);
     if (rc < 0) {
       if (errno == EINTR) continue;
       throw_errno("poll");
     }
     return rc > 0;
   }
+}
+
+bool poll_one(int fd, short events, int timeout_ms) {
+  pollfd p{fd, events, 0};
+  return poll_fds(&p, 1, timeout_ms);
 }
 
 }  // namespace
@@ -116,6 +121,20 @@ IoResult TcpStream::read_some(std::uint8_t* buf, std::size_t len) {
 IoResult TcpStream::write_some(const std::uint8_t* buf, std::size_t len) {
   const ssize_t n = ::send(fd_.get(), buf, len, MSG_NOSIGNAL);
   return classify_io(n, /*is_read=*/false);
+}
+
+int remaining_ms(std::chrono::steady_clock::time_point deadline) {
+  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        deadline - std::chrono::steady_clock::now())
+                        .count();
+  return left > 0 ? static_cast<int>(left) : 0;
+}
+
+bool wait_any_readable(const std::vector<int>& fds, int timeout_ms) {
+  std::vector<pollfd> polls;
+  polls.reserve(fds.size());
+  for (const int fd : fds) polls.push_back({fd, POLLIN, 0});
+  return poll_fds(polls.data(), polls.size(), timeout_ms);
 }
 
 bool TcpStream::wait_readable(int timeout_ms) {

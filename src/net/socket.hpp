@@ -1,8 +1,10 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace exawatt::net {
 
@@ -99,6 +101,16 @@ class TcpStream {
  private:
   Fd fd_;
 };
+
+/// Milliseconds left until `deadline`, 0 once it has passed — the
+/// timeout argument of the waits below.
+[[nodiscard]] int remaining_ms(std::chrono::steady_clock::time_point deadline);
+
+/// Wait until at least one of `fds` is readable or hung up; false on
+/// timeout. `timeout_ms < 0` waits forever. Throws NetError on poll
+/// failure.
+[[nodiscard]] bool wait_any_readable(const std::vector<int>& fds,
+                                     int timeout_ms);
 
 /// A listening TCP socket bound to 127.0.0.1 (or all interfaces) with
 /// SO_REUSEADDR; `port == 0` binds an ephemeral port — `local_port()`

@@ -1,10 +1,9 @@
 #include "scenario/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "telemetry/metric.hpp"
+#include "util/parallel.hpp"
 
 namespace exawatt::scenario {
 
@@ -131,25 +130,7 @@ std::vector<ScenarioResult> run_sweep(
     r.cancelled = variant.cancelled;
   };
 
-  const std::size_t workers =
-      std::min(options.threads, variants.size());
-  if (workers <= 1) {
-    for (std::size_t v = 0; v < variants.size(); ++v) run_variant(v);
-    return out;
-  }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    threads.emplace_back([&] {
-      for (;;) {
-        const std::size_t v = next.fetch_add(1, std::memory_order_relaxed);
-        if (v >= variants.size()) return;
-        run_variant(v);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
+  util::parallel_for(variants.size(), run_variant);
   return out;
 }
 

@@ -65,25 +65,25 @@ struct ScenarioSummary {
     store::QueryStats* stats = nullptr);
 
 struct SweepOptions {
-  /// Concurrent variant replays. <= 1 runs serially on the caller's
-  /// thread. Workers are dedicated short-lived threads, NOT the shared
-  /// util::ThreadPool: a sweep is executed *from* a pool task (the
-  /// QueryService executor), and fanning out onto the pool it occupies
-  /// deadlocks a small pool — the same reasoning as net::fan_out.
+  /// No-op: variants always run as one util::parallel_for on
+  /// util::ThreadPool::global(), whose caller-helps join is safe from
+  /// inside a service worker. Kept only so callers that still set it
+  /// compile.
   std::size_t threads = 0;
   /// Polled between replayed seconds of every leg, possibly from several
-  /// worker threads at once — must be thread-safe.
+  /// pool threads at once — must be thread-safe.
   std::function<bool()> cancelled;
   /// Every closed window of every variant leg, tagged with the variant
-  /// index. Called from worker threads when threads > 1 — must be
+  /// index. Called from the caller's and pool threads — must be
   /// thread-safe. Per-variant window order is preserved; variants
   /// interleave.
   std::function<void(std::size_t, const stream::ClusterWindow&)> on_window;
 };
 
 /// Fan N specs over the same fetched runs: the baseline is replayed
-/// once and shared; each variant replays independently. Results land at
-/// their spec's index regardless of completion order.
+/// once and shared; the variants replay independently, in parallel on
+/// util::ThreadPool::global() with the calling thread helping. Results
+/// land at their spec's index regardless of completion order.
 [[nodiscard]] std::vector<ScenarioResult> run_sweep(
     const std::vector<store::MetricRun>& runs,
     const stream::EngineOptions& base,

@@ -6,18 +6,7 @@
 
 namespace exawatt::server {
 
-namespace {
-
 using SteadyClock = std::chrono::steady_clock;
-
-int remaining_ms(SteadyClock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - SteadyClock::now())
-                        .count();
-  return left > 0 ? static_cast<int>(left) : 0;
-}
-
-}  // namespace
 
 Client::Client(ClientOptions options) : options_(std::move(options)) {}
 
@@ -40,15 +29,16 @@ void Client::ensure_connected() {
   if (reconnecting) ++stats_.reconnect_successes;
 }
 
-void Client::send_request(const wire::Request& request, std::uint64_t id) {
+std::uint64_t Client::send_request(const wire::Request& request) {
+  ensure_connected();
+  const std::uint64_t id = next_id_++;
   const auto bytes = net::encode_frame(net::FrameType::kRequest, id,
                                        wire::encode_request(request));
   stream_.write_all(bytes.data(), bytes.size(), options_.request_timeout_ms);
+  return id;
 }
 
-net::Frame Client::read_frame_for(std::uint64_t id, int timeout_ms) {
-  const auto deadline =
-      SteadyClock::now() + std::chrono::milliseconds(timeout_ms);
+std::optional<net::Frame> Client::poll_frame_for(std::uint64_t id) {
   std::uint8_t chunk[16 << 10];
   for (;;) {
     net::Frame frame;
@@ -73,10 +63,6 @@ net::Frame Client::read_frame_for(std::uint64_t id, int timeout_ms) {
       // A stale response (from an abandoned earlier request on this
       // connection) is skipped, not an error.
     }
-    const int left = remaining_ms(deadline);
-    if (left == 0 || !stream_.wait_readable(left)) {
-      throw net::NetError("request timeout");
-    }
     const net::IoResult r = stream_.read_some(chunk, sizeof(chunk));
     switch (r.status) {
       case net::IoStatus::kOk:
@@ -89,7 +75,7 @@ net::Frame Client::read_frame_for(std::uint64_t id, int timeout_ms) {
         }
         break;
       case net::IoStatus::kWouldBlock:
-        break;
+        return std::nullopt;
       default:
         disconnect();
         throw net::NetError("connection lost");
@@ -97,37 +83,83 @@ net::Frame Client::read_frame_for(std::uint64_t id, int timeout_ms) {
   }
 }
 
-wire::Response Client::call(const wire::Request& request) {
+net::Frame Client::read_frame_for(std::uint64_t id, int timeout_ms) {
+  const auto deadline =
+      SteadyClock::now() + std::chrono::milliseconds(timeout_ms);
+  for (;;) {
+    if (auto frame = poll_frame_for(id)) return std::move(*frame);
+    const int left = net::remaining_ms(deadline);
+    if (left == 0 || !stream_.wait_readable(left)) {
+      throw net::NetError("request timeout");
+    }
+  }
+}
+
+Client::Pending Client::start(const wire::Request& request) {
   EXA_CHECK(request.method != wire::Method::kSubscribe,
             "use Subscription for kSubscribe");
+  try {
+    const std::uint64_t id = send_request(request);
+    return {id, SteadyClock::now() +
+                    std::chrono::milliseconds(options_.request_timeout_ms)};
+  } catch (const net::NetError&) {
+    ++stats_.transport_errors;
+    disconnect();
+    throw;
+  }
+}
+
+std::optional<wire::Response> Client::try_finish(Pending& pending) {
+  EXA_CHECK(pending.id + 1 == next_id_ && stream_.valid(),
+            "only the latest start() on a live connection can finish");
+  try {
+    for (;;) {
+      std::optional<net::Frame> frame = poll_frame_for(pending.id);
+      if (!frame) {
+        if (SteadyClock::now() >= pending.deadline) {
+          throw net::NetError("request timeout");
+        }
+        return std::nullopt;
+      }
+      // A call()er may receive ticks ahead of its response (a sweep
+      // whose mask asked for streaming); they are skipped, not a
+      // protocol violation — Subscription is the API that wants them.
+      if (frame->type == net::FrameType::kTick) {
+        pending.deadline =
+            SteadyClock::now() +
+            std::chrono::milliseconds(options_.request_timeout_ms);
+        continue;
+      }
+      if (frame->type != net::FrameType::kResponse) {
+        throw net::NetError("unexpected frame type from server");
+      }
+      try {
+        return wire::decode_response(frame->payload);
+      } catch (const wire::WireError& e) {
+        throw net::NetError(std::string("bad response payload: ") +
+                            e.what());
+      }
+    }
+  } catch (const net::NetError&) {
+    ++stats_.transport_errors;
+    disconnect();
+    throw;
+  }
+}
+
+wire::Response Client::call(const wire::Request& request) {
   ++stats_.calls;
   std::string last_error = "unreachable";
   for (int attempt = 0; attempt <= options_.max_reconnects; ++attempt) {
     try {
-      ensure_connected();
-      const std::uint64_t id = next_id_++;
-      send_request(request, id);
-      net::Frame frame = read_frame_for(id, options_.request_timeout_ms);
-      // A call()er may receive ticks ahead of its response (a sweep
-      // whose mask asked for streaming); they are skipped, not a
-      // protocol violation — Subscription is the API that wants them.
-      while (frame.type == net::FrameType::kTick) {
-        frame = read_frame_for(id, options_.request_timeout_ms);
-      }
-      if (frame.type != net::FrameType::kResponse) {
-        disconnect();
-        throw net::NetError("unexpected frame type from server");
-      }
-      try {
-        return wire::decode_response(frame.payload);
-      } catch (const wire::WireError& e) {
-        disconnect();
-        throw net::NetError(std::string("bad response payload: ") + e.what());
+      Pending pending = start(request);
+      for (;;) {
+        if (auto reply = try_finish(pending)) return std::move(*reply);
+        // Past the deadline the next try_finish() throws the timeout.
+        (void)stream_.wait_readable(net::remaining_ms(pending.deadline));
       }
     } catch (const net::NetError& e) {
-      ++stats_.transport_errors;
       last_error = e.what();
-      disconnect();
       // Reconnect-and-retry: reads are idempotent, and the broken
       // connection is the common failure after a server restart.
     }
@@ -144,9 +176,7 @@ Subscription::Subscription(ClientOptions options,
                 request.method == wire::Method::kScenarioSweep,
             "Subscription wants a streaming method (kSubscribe / "
             "kScenarioSweep)");
-  client_.ensure_connected();
-  id_ = client_.next_id_++;
-  client_.send_request(request, id_);
+  id_ = client_.send_request(request);
 }
 
 std::optional<wire::Tick> Subscription::next(int timeout_ms) {

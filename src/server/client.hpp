@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -45,9 +46,32 @@ class Client {
   explicit Client(ClientOptions options);
 
   /// Lazily connects. Throws net::NetError when the server is
-  /// unreachable after the configured reconnect attempts.
+  /// unreachable after the configured reconnect attempts. Each attempt
+  /// is start() then try_finish() until the reply: the one-leg case of
+  /// cluster::Coordinator's scatter rounds, which make the same
+  /// max_reconnects + 1 attempts per leg.
   [[nodiscard]] wire::Response call(const wire::Request& request);
 
+  /// A request sent by start(): its id and the moment its wait gives up.
+  struct Pending {
+    std::uint64_t id = 0;
+    /// request_timeout_ms after the send; a skipped tick pushes it a
+    /// full request timeout further, as call() has always allowed.
+    std::chrono::steady_clock::time_point deadline;
+  };
+
+  /// One attempt of call(), split so one thread can have requests in
+  /// flight on several clients (the coordinator's scatter legs). start()
+  /// connects if needed and sends; try_finish() reads only the bytes the
+  /// socket holds now and returns the reply once it is complete. Both
+  /// throw net::NetError and drop the connection on a transport failure
+  /// or once the deadline has passed; a retry is the caller's choice.
+  /// Only the latest start() can be finished.
+  [[nodiscard]] Pending start(const wire::Request& request);
+  [[nodiscard]] std::optional<wire::Response> try_finish(Pending& pending);
+
+  /// The connection's fd (-1 when down), for polling several clients.
+  [[nodiscard]] int fd() const { return stream_.fd(); }
   /// True while the underlying connection is believed healthy.
   [[nodiscard]] bool connected() const { return stream_.valid(); }
   /// Drop the connection; the next call() reconnects.
@@ -59,8 +83,13 @@ class Client {
  private:
   friend class Subscription;
   void ensure_connected();
-  void send_request(const wire::Request& request, std::uint64_t id);
-  /// Next frame for `id` (skipping stale ids); throws on timeout/loss.
+  /// Connect if needed and send `request` under a fresh id.
+  [[nodiscard]] std::uint64_t send_request(const wire::Request& request);
+  /// Next frame for `id` (skipping stale ids) from what the socket
+  /// holds now; nullopt when more bytes are due. Throws on loss.
+  [[nodiscard]] std::optional<net::Frame> poll_frame_for(std::uint64_t id);
+  /// Next frame for `id`, waiting up to `timeout_ms`; throws on
+  /// timeout/loss.
   [[nodiscard]] net::Frame read_frame_for(std::uint64_t id, int timeout_ms);
 
   ClientOptions options_;

@@ -1,7 +1,6 @@
 #include "server/service.hpp"
 
 #include <limits>
-#include <thread>
 
 #include "scenario/engine.hpp"
 #include "server/chunk.hpp"
@@ -124,11 +123,6 @@ void run_scenario_request(const wire::Request& request,
         tick.nodes_reporting = w.nodes_reporting;
         emit(tick);
       };
-    }
-    if (request.scenarios.size() > 1) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      sweep.threads = std::min<std::size_t>(request.scenarios.size(),
-                                            hw > 0 ? hw : 2);
     }
     const std::vector<scenario::ScenarioResult> results =
         scenario::run_sweep(runs, opts, request.scenarios, sweep);

@@ -217,9 +217,6 @@ CompactionReport Store::compact(const CompactionOptions& opts) {
     report.dropped_segments += plan.drop.size();
   }
 
-  util::ThreadPool& pool =
-      opts.pool != nullptr ? *opts.pool : util::ThreadPool::global();
-
   for (const auto& round : plan.rounds) {
     // Resolve the planned inputs against the current live set — an input
     // another caller retired since planning just shrinks the round.
@@ -262,8 +259,7 @@ CompactionReport Store::compact(const CompactionOptions& opts) {
             d.ok = false;
           }
           return d;
-        },
-        pool);
+        });
     if (std::any_of(decoded.begin(), decoded.end(),
                     [](const Decoded& d) { return !d.ok; })) {
       ++report.rounds_skipped;

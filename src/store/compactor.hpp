@@ -6,7 +6,6 @@
 
 #include "store/format.hpp"
 #include "util/sim_time.hpp"
-#include "util/thread_pool.hpp"
 #include "util/vfs.hpp"
 
 namespace exawatt::store {
@@ -32,8 +31,6 @@ struct CompactionOptions {
   /// a lone small segment is left alone (no write amplification) unless
   /// retention forces a rewrite anyway.
   std::size_t min_merge_inputs = 2;
-  /// Decode fan-out for merge rounds; nullptr → the process-global pool.
-  util::ThreadPool* pool = nullptr;
 };
 
 /// One planned merge: the named input segments of one day-partition

@@ -11,10 +11,10 @@
 
 namespace exawatt::util {
 
-/// Fixed-size worker pool used by the partitioned analytics frame
-/// (mini-Dask). Tasks are type-erased std::function<void()>; submitters
-/// wait on futures. Deliberately simple — no work stealing — because the
-/// analytics partitions are coarse (days / node groups) and uniform.
+/// Fixed-size worker pool: the process's compute threads. Tasks are
+/// type-erased std::function<void()>; fan out with util::parallel_for,
+/// which is safe to nest. Deliberately simple — no work stealing — because
+/// the partitions are coarse (days / node groups / segments) and uniform.
 class ThreadPool {
  public:
   /// `threads == 0` selects hardware_concurrency() (minimum 1).

@@ -1,19 +1,25 @@
-// src/cluster suite: shard-map codec and routing, the fan_out scatter
-// primitive, the merge algebra (window-sum grids, metric runs, query
-// stats), partition-parity properties — any shard partition of a feed
-// must answer bit-identically to one store holding the union, including
-// with one shard dropped — and the rebalance protocol, including a
-// crash-at-every-write-point sweep that must never lose or duplicate a
-// committed event.
+// src/cluster suite: shard-map codec and routing, the merge algebra
+// (window-sum grids, metric runs, query stats), partition-parity
+// properties — any shard partition of a feed must answer bit-identically
+// to one store holding the union, including with one shard dropped — the
+// Coordinator's pipelined scatter over live in-process shard servers,
+// and the rebalance protocol, including a crash-at-every-write-point
+// sweep that must never lose or duplicate a committed event.
 
+#include <dlfcn.h>
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/coordinator.hpp"
@@ -21,13 +27,30 @@
 #include "cluster/rebalance.hpp"
 #include "cluster/shard_map.hpp"
 #include "faultfs/fault.hpp"
-#include "net/fanout.hpp"
+#include "net/socket.hpp"
+#include "server/client.hpp"
+#include "server/server.hpp"
+#include "scenario/spec.hpp"
 #include "store/store.hpp"
 #include "telemetry/metric.hpp"
 #include "ts/series.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/vfs.hpp"
+
+/// Every thread this test binary starts passes through here, so a test
+/// can count thread creation — std::thread, pools and all.
+std::atomic<std::uint64_t> g_threads_created{0};
+
+extern "C" int pthread_create(pthread_t* thread, const pthread_attr_t* attr,
+                              void* (*start)(void*), void* arg) noexcept {
+  using Real = int (*)(pthread_t*, const pthread_attr_t*, void* (*)(void*),
+                       void*);
+  static const auto real =
+      reinterpret_cast<Real>(dlsym(RTLD_NEXT, "pthread_create"));
+  g_threads_created.fetch_add(1, std::memory_order_relaxed);
+  return real(thread, attr, start, arg);
+}
 
 namespace {
 
@@ -205,39 +228,6 @@ TEST(ShardMap, SplitRoutesEveryEventToItsShard) {
     ASSERT_EQ(got.t, ev.t);
     ASSERT_EQ(got.value, ev.value);
   }
-}
-
-// -------------------------------------------------------------- fan_out
-
-TEST(FanOut, CollectsEveryResultInOrder) {
-  const auto results =
-      net::fan_out(8, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(results.size(), 8u);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].ok);
-    EXPECT_EQ(results[i].value, i * i);
-  }
-}
-
-TEST(FanOut, CapturesExceptionsPerTask) {
-  const auto results = net::fan_out(6, [](std::size_t i) -> int {
-    if (i % 2 == 1) throw std::runtime_error("boom " + std::to_string(i));
-    return static_cast<int>(i);
-  });
-  ASSERT_EQ(results.size(), 6u);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (i % 2 == 1) {
-      EXPECT_FALSE(results[i].ok);
-      EXPECT_EQ(results[i].error, "boom " + std::to_string(i));
-    } else {
-      EXPECT_TRUE(results[i].ok);
-      EXPECT_EQ(results[i].value, static_cast<int>(i));
-    }
-  }
-}
-
-TEST(FanOut, ZeroTasksIsEmpty) {
-  EXPECT_TRUE(net::fan_out(0, [](std::size_t) { return 0; }).empty());
 }
 
 // ---------------------------------------------------------------- merge
@@ -455,6 +445,252 @@ TEST(PartitionParity, OneShardDownIsPartialNeverWrong) {
     EXPECT_EQ(merged.sum, direct.sum);
     EXPECT_EQ(merged.count, direct.count);
   }
+}
+
+// ------------------------------------------- coordinator over sockets
+
+/// One shard: a store behind a real TCP server on QoS with a fixed
+/// number of workers, its event loop on its own thread.
+struct LiveShard {
+  store::Store store;
+  std::unique_ptr<server::Server> server;
+  std::thread loop;
+  std::uint16_t port = 0;
+
+  LiveShard(const std::string& dir,
+            const std::vector<telemetry::MetricEvent>& events,
+            std::size_t segment_events = 512)
+      : store(store::Store::open(dir, small_segments(segment_events))) {
+    fill_store(store, events);
+    server::ServerOptions options;
+    options.service.qos.pool.autoscaler.min_workers = 2;
+    options.service.qos.pool.autoscaler.max_workers = 2;
+    server = std::make_unique<server::Server>(store, options);
+    port = server->port();
+    loop = std::thread([srv = server.get()] { srv->run(); });
+  }
+  ~LiveShard() { stop(); }
+
+  /// Shut the server down and release its port.
+  void stop() {
+    if (!server) return;
+    server->shutdown();
+    loop.join();
+    server->drain();
+    server.reset();
+  }
+};
+
+/// Three live shards holding a partition of one 12-node feed.
+struct LiveCluster {
+  std::vector<telemetry::MetricEvent> events =
+      make_events(0x5CA7, 12, 6'000, {0, 600});
+  std::vector<std::unique_ptr<LiveShard>> shards;
+
+  explicit LiveCluster(const std::string& leaf) {
+    const std::string dir = scratch_dir(leaf);
+    const auto parts = cluster::ShardMap::uniform(3).split(events);
+    for (std::size_t s = 0; s < parts.size(); ++s) {
+      shards.push_back(std::make_unique<LiveShard>(
+          dir + "/shard" + std::to_string(s), parts[s]));
+    }
+  }
+
+  cluster::CoordinatorOptions options() const {
+    cluster::CoordinatorOptions copts;
+    for (const auto& shard : shards) {
+      copts.shards.push_back({"127.0.0.1", shard->port});
+    }
+    return copts;
+  }
+};
+
+server::wire::Request scan_all(util::TimeRange range) {
+  server::wire::Request req;
+  req.method = server::wire::Method::kScan;
+  req.range = range;
+  for (int node = 0; node < 12; ++node) {
+    req.metrics.push_back(telemetry::metric_id(node, kPowerChannel));
+  }
+  return req;
+}
+
+server::wire::Request sweep_of(std::size_t variants) {
+  server::wire::Request req;
+  req.method = server::wire::Method::kScenarioSweep;
+  req.range = {0, 600};
+  req.window = 10;
+  for (int node = 0; node < 12; ++node) req.nodes.push_back(node);
+  for (std::size_t v = 0; v < variants; ++v) {
+    scenario::ScenarioSpec spec;
+    spec.name = "cap-" + std::to_string(v);
+    spec.power_cap_w = 1.0e6 * static_cast<double>(v + 1);
+    req.scenarios.push_back(spec);
+  }
+  return req;
+}
+
+TEST(CoordinatorLive, WarmScattersAndSweepsStartNoThreads) {
+  LiveCluster cluster("coord_no_threads");
+  cluster::Coordinator coordinator(cluster.options());
+  const auto scan = scan_all({0, 600});
+  const auto sweep = sweep_of(8);
+  // Warm-up: connections, directories, the global compute pool.
+  ASSERT_EQ(coordinator.execute(scan, nullptr, 0).status,
+            server::wire::Status::kOk);
+  ASSERT_EQ(coordinator.execute(sweep, nullptr, 0).status,
+            server::wire::Status::kOk);
+  const auto before = coordinator.shard_stats();
+  const std::uint64_t created = g_threads_created.load();
+  ASSERT_GT(created, 0u) << "pthread_create is not interposed";
+
+  for (int i = 0; i < 20; ++i) {
+    const auto resp = coordinator.execute(scan, nullptr, 0);
+    ASSERT_EQ(resp.status, server::wire::Status::kOk);
+    EXPECT_FALSE(resp.stats.degraded());
+  }
+  for (int i = 0; i < 3; ++i) {
+    const auto resp = coordinator.execute(sweep, nullptr, 0);
+    ASSERT_EQ(resp.status, server::wire::Status::kOk);
+    EXPECT_EQ(resp.scenarios.size(), 8u);
+  }
+  EXPECT_EQ(g_threads_created.load() - created, 0u);
+
+  // One leg per shard per scatter: `calls` counts legs, and every leg
+  // answered OK (directories were already cached).
+  const auto after = coordinator.shard_stats();
+  for (std::size_t s = 0; s < after.size(); ++s) {
+    EXPECT_EQ(after[s].calls - before[s].calls, 23u) << "shard " << s;
+    EXPECT_EQ(after[s].ok - before[s].ok, 23u) << "shard " << s;
+    EXPECT_TRUE(after[s].up);
+  }
+}
+
+TEST(CoordinatorLive, StalledAndRefusingShardsCostOneTimeout) {
+  LiveCluster cluster("coord_stalled");
+  cluster::CoordinatorOptions copts = cluster.options();
+  copts.request_timeout_ms = 600;
+  cluster::Coordinator coordinator(copts);
+  const util::TimeRange range{0, 600};
+  const auto scan = scan_all(range);
+  // Warm-up caches every shard's directory, so the losses below are
+  // charged their exact segment overlap.
+  ASSERT_EQ(coordinator.execute(scan, nullptr, 0).status,
+            server::wire::Status::kOk);
+  const auto expected_runs = cluster.shards[0]->store.query_many(
+      scan.metrics, range);
+  std::uint64_t expected_lost = 0;
+  for (std::size_t s = 1; s < 3; ++s) {
+    std::uint64_t overlap = 0;
+    for (const auto& seg : cluster.shards[s]->store.directory()) {
+      if (seg.t_min < range.end && range.begin <= seg.t_max) ++overlap;
+    }
+    expected_lost += std::max<std::uint64_t>(overlap, 1);
+  }
+
+  // Shard 1 turns into a listener that completes the handshake and never
+  // answers; shard 2's port refuses connections.
+  const std::uint16_t stalled_port = cluster.shards[1]->port;
+  cluster.shards[1]->stop();
+  cluster.shards[2]->stop();
+  const net::TcpListener stalled = net::TcpListener::bind(stalled_port);
+  const auto before = coordinator.shard_stats();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto resp = coordinator.execute(scan, nullptr, 0);
+  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+
+  ASSERT_EQ(resp.status, server::wire::Status::kOk);
+  EXPECT_GE(elapsed_ms, copts.request_timeout_ms - 50);
+  EXPECT_LT(elapsed_ms, copts.request_timeout_ms * 3 / 2);
+  EXPECT_EQ(resp.stats.lost_segments, expected_lost);
+  EXPECT_TRUE(runs_equal(resp.runs, expected_runs));
+
+  const auto after = coordinator.shard_stats();
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(after[s].calls - before[s].calls, 1u) << "shard " << s;
+  }
+  EXPECT_EQ(after[0].ok - before[0].ok, 1u);
+  EXPECT_TRUE(after[0].up);
+  for (std::size_t s = 1; s < 3; ++s) {
+    EXPECT_EQ(after[s].transport_errors - before[s].transport_errors, 1u)
+        << "shard " << s;
+    EXPECT_FALSE(after[s].up) << "shard " << s;
+  }
+
+  // Both bad shards now stall on every attempt: the legs of one attempt
+  // wait out their timeouts together, so two stalled shards cost what
+  // one does — one timeout per attempt (max_reconnects + 1 = 2), not per
+  // shard.
+  const net::TcpListener stalled_too =
+      net::TcpListener::bind(cluster.shards[2]->port);
+  const auto t1 = std::chrono::steady_clock::now();
+  const auto both = coordinator.execute(scan, nullptr, 0);
+  const auto both_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - t1)
+                           .count();
+  ASSERT_EQ(both.status, server::wire::Status::kOk);
+  EXPECT_EQ(both.stats.lost_segments, expected_lost);
+  const int timeout_ms = copts.request_timeout_ms;
+  EXPECT_GE(both_ms, 2 * timeout_ms - 50);
+  EXPECT_LT(both_ms, 2 * timeout_ms + timeout_ms / 2);
+}
+
+TEST(CoordinatorLive, StalledFirstShardDoesNotStarveALargeLegBehindIt) {
+  // Shard 1's scan reply is ~10 MB: more than the socket buffers and the
+  // shard's stream budget hold while nobody reads it. Once shard 0 stalls
+  // (it completes the handshake and never answers), shard 1's leg must be
+  // read while shard 0's leg waits out its timeout, not after.
+  const std::string dir = scratch_dir("coord_large_leg");
+  const int nodes = 16;
+  const util::TimeRange range{0, 1 << 16};
+  LiveShard first(dir + "/first", make_events(0x1A56F, nodes, 64, range));
+  LiveShard live(dir + "/live", make_events(0x1A56E, nodes, 600'000, range),
+                 1 << 16);
+  cluster::CoordinatorOptions copts;
+  copts.shards = {{"127.0.0.1", first.port}, {"127.0.0.1", live.port}};
+  copts.request_timeout_ms = 3000;
+  copts.max_reconnects = 0;
+  cluster::Coordinator coordinator(copts);
+
+  server::wire::Request scan;
+  scan.method = server::wire::Method::kScan;
+  scan.range = range;
+  for (int node = 0; node < nodes; ++node) {
+    scan.metrics.push_back(telemetry::metric_id(node, kPowerChannel));
+  }
+  // Warm-up caches both directories, so only the scan legs run below.
+  ASSERT_EQ(coordinator.execute(scan, nullptr, 0).status,
+            server::wire::Status::kOk);
+  first.stop();
+  const net::TcpListener stalled = net::TcpListener::bind(first.port);
+  // This scatter finds shard 0's old connection dead and fails that leg
+  // at once; the next one reconnects to the listener, which stalls.
+  ASSERT_EQ(coordinator.execute(scan, nullptr, 0).status,
+            server::wire::Status::kOk);
+  const auto before = coordinator.shard_stats();
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto resp = coordinator.execute(scan, nullptr, 0);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(copts.request_timeout_ms - 50));
+  ASSERT_EQ(resp.status, server::wire::Status::kOk);
+  EXPECT_EQ(resp.stats.lost_segments, 1u);  // shard 0's one segment
+  EXPECT_TRUE(
+      runs_equal(resp.runs, live.store.query_many(scan.metrics, range)));
+
+  const auto after = coordinator.shard_stats();
+  EXPECT_FALSE(after[0].up);
+  EXPECT_EQ(after[0].transport_errors - before[0].transport_errors, 1u);
+  EXPECT_TRUE(after[1].up);
+  EXPECT_EQ(after[1].ok - before[1].ok, 1u);
+  EXPECT_EQ(after[1].transport_errors, 0u);
+  // A leg's latency runs from its own send to its reply, so the live
+  // shard does not report the stalled one's timeout.
+  EXPECT_LT(after[1].latency_us_total - before[1].latency_us_total,
+            static_cast<std::uint64_t>(copts.request_timeout_ms) * 1000);
 }
 
 // ------------------------------------------------------------ rebalance

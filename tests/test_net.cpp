@@ -1453,6 +1453,45 @@ TEST(Loopback, ClientReconnectsAfterServerSideClose) {
   EXPECT_EQ(client.call(ping).status, server::wire::Status::kOk);
 }
 
+TEST(Loopback, StartAndTryFinishNeverBlock) {
+  LoopbackFixture fx("try_finish");
+  server::Client client(fx.client_options());
+  server::wire::Request ping;
+  ping.method = server::wire::Method::kPing;
+  auto pending = client.start(ping);
+  std::optional<server::wire::Response> reply;
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!reply && std::chrono::steady_clock::now() < until) {
+    reply = client.try_finish(pending);
+    if (!reply) ASSERT_TRUE(net::wait_any_readable({client.fd()}, 1000));
+  }
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->status, server::wire::Status::kOk);
+  // Only the latest start() can be finished.
+  const auto stale = pending;
+  pending = client.start(ping);
+  auto copy = stale;
+  EXPECT_THROW((void)client.try_finish(copy), util::CheckError);
+  EXPECT_EQ(client.call(ping).status, server::wire::Status::kOk);
+
+  // A peer that never answers: try_finish returns at once while the
+  // deadline runs, then fails the attempt and drops the connection.
+  const net::TcpListener silent = net::TcpListener::bind(0);
+  server::ClientOptions copts;
+  copts.port = silent.local_port();
+  copts.request_timeout_ms = 150;
+  server::Client mute(copts);
+  auto waiting = mute.start(ping);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(mute.try_finish(waiting).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(100));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_THROW((void)mute.try_finish(waiting), net::NetError);
+  EXPECT_FALSE(mute.connected());
+  EXPECT_EQ(mute.stats().transport_errors, 1u);
+}
+
 // --- chunked stream reassembly -------------------------------------------
 
 net::Frame make_chunk(std::uint64_t id, std::uint16_t flags,

@@ -3,14 +3,20 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <random>
+#include <string>
 #include <span>
 #include <thread>
 #include <vector>
 
 #include "core/edges.hpp"
+#include "scenario/engine.hpp"
+#include "scenario/spec.hpp"
 #include "stats/ecdf.hpp"
 #include "stream/alerts.hpp"
 #include "stream/coarsen.hpp"
@@ -822,6 +828,120 @@ TEST(ReplaySinks, CancelMidReplayKeepsEmittedWindowsAndSetsFlag) {
     EXPECT_EQ(part.pue[w], full.pue[w]);
   }
   EXPECT_LT(part.events, full.events);
+}
+
+// ------------------------------------------------------------ run_sweep
+
+bool bit_same(const ts::Series& a, const ts::Series& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+struct SweepRig {
+  std::vector<store::MetricRun> runs = replay_step_runs(8, 600);
+  stream::EngineOptions base;
+  std::vector<scenario::ScenarioSpec> variants;
+
+  SweepRig() {
+    base.range = {0, 600};
+    base.rollup.edge_node_count = 8.0;
+    const auto baseline = stream::replay_rollup_runs(runs, base);
+    const double peak = *std::max_element(baseline.power.values().begin(),
+                                          baseline.power.values().end());
+    // Caps that bind at different depths, so a result at the wrong
+    // index cannot pass for the right one.
+    for (const double f : {0.5, 0.6, 0.7, 0.8, 0.9}) {
+      scenario::ScenarioSpec cap;
+      cap.name = "cap-" + std::to_string(f);
+      cap.power_cap_w = f * peak;
+      variants.push_back(cap);
+    }
+    scenario::ScenarioSpec identity;
+    identity.name = "identity";
+    variants.push_back(identity);
+    scenario::ScenarioSpec outage;
+    outage.name = "outage";
+    outage.force_chillers = true;
+    variants.push_back(outage);
+    scenario::ScenarioSpec summer;
+    summer.name = "summer";
+    summer.wet_bulb_offset_c = 6.0;
+    variants.push_back(summer);
+  }
+};
+
+TEST(RunSweep, ResultsMatchSerialScenariosInSpecOrder) {
+  const SweepRig rig;
+  std::mutex mu;
+  std::vector<std::vector<std::size_t>> seen(rig.variants.size());
+  scenario::SweepOptions options;
+  options.on_window = [&](std::size_t v, const stream::ClusterWindow& w) {
+    std::lock_guard lk(mu);
+    seen[v].push_back(w.index);
+  };
+  const auto results =
+      scenario::run_sweep(rig.runs, rig.base, rig.variants, options);
+  ASSERT_EQ(results.size(), rig.variants.size());
+
+  for (std::size_t v = 0; v < rig.variants.size(); ++v) {
+    SCOPED_TRACE(rig.variants[v].name);
+    std::vector<std::size_t> serial_windows;
+    stream::ReplaySinks sinks;
+    sinks.on_window = [&](const stream::ClusterWindow& w) {
+      serial_windows.push_back(w.index);
+    };
+    const scenario::ScenarioResult serial =
+        scenario::run_scenario_runs(rig.runs, rig.base, rig.variants[v],
+                                    sinks);
+    const scenario::ScenarioResult& r = results[v];
+    EXPECT_FALSE(r.cancelled);
+    EXPECT_TRUE(bit_same(r.power, serial.power));
+    EXPECT_TRUE(bit_same(r.pue, serial.pue));
+    EXPECT_TRUE(bit_same(r.baseline_power, serial.baseline_power));
+    EXPECT_TRUE(bit_same(r.baseline_pue, serial.baseline_pue));
+    EXPECT_EQ(r.events, serial.events);
+    EXPECT_EQ(r.windows, serial.windows);
+    // Each variant's windows arrive in stream order, exactly once.
+    EXPECT_EQ(seen[v], serial_windows);
+    EXPECT_EQ(seen[v].size(), r.windows);
+  }
+  // The caps bind, and at different depths.
+  EXPECT_FALSE(bit_same(results[0].power, results[1].power));
+  EXPECT_FALSE(bit_same(results[0].power, results[0].baseline_power));
+  EXPECT_TRUE(bit_same(results[5].power, results[5].baseline_power));
+}
+
+TEST(RunSweep, CancelledSweepMarksEveryResult) {
+  const SweepRig rig;
+  // Cancelled before the shared baseline finishes.
+  scenario::SweepOptions before;
+  before.cancelled = [] { return true; };
+  for (const auto& r :
+       scenario::run_sweep(rig.runs, rig.base, rig.variants, before)) {
+    EXPECT_TRUE(r.cancelled);
+  }
+  // Cancelled while the variants replay: the first variant window trips
+  // it, long before any variant can finish its 60 windows.
+  std::atomic<bool> stop{false};
+  scenario::SweepOptions during;
+  during.cancelled = [&] { return stop.load(); };
+  during.on_window = [&](std::size_t, const stream::ClusterWindow&) {
+    stop = true;
+  };
+  const auto results =
+      scenario::run_sweep(rig.runs, rig.base, rig.variants, during);
+  ASSERT_EQ(results.size(), rig.variants.size());
+  for (const auto& r : results) {
+    EXPECT_TRUE(r.cancelled);
+    EXPECT_EQ(r.baseline_power.size(), 60u);
+    EXPECT_LT(r.windows, 60u);
+  }
 }
 
 }  // namespace

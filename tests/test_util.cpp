@@ -2,9 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <fstream>
+#include <future>
 #include <limits>
+#include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/check.hpp"
@@ -343,27 +350,138 @@ TEST(ThreadPool, ReturnsValues) {
   EXPECT_EQ(f.get(), 42);
 }
 
-TEST(Parallel, ParallelForCoversIndexSpace) {
-  util::ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(500);
-  util::parallel_for(500, [&](std::size_t i) { ++hits[i]; }, pool);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+/// Live threads of this process, from the `Threads:` line of
+/// /proc/self/status.
+int live_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
 }
 
-TEST(Parallel, ParallelMapPreservesOrder) {
-  util::ThreadPool pool(4);
+/// Executor tests run once per pool size (miniMarl style). TearDown
+/// requires every thread the test started to be gone again.
+class Parallel : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override {
+    threads_before_ = live_threads();
+    pool_ = std::make_unique<util::ThreadPool>(GetParam());
+  }
+  void TearDown() override {
+    if (!pool_) return;  // leaked by a deadlocked test
+    pool_.reset();
+    // A joined thread can linger in the count for a moment while the
+    // kernel reaps it.
+    int now = live_threads();
+    for (int i = 0; i < 200 && now != threads_before_; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      now = live_threads();
+    }
+    EXPECT_EQ(now, threads_before_);
+  }
+
+  std::unique_ptr<util::ThreadPool> pool_;
+
+ private:
+  int threads_before_ = 0;
+};
+
+TEST_P(Parallel, ParallelForCoversIndexSpace) {
+  for (const std::size_t n : {0, 1, 2, 3, 4, 5, 31, 500}) {
+    std::vector<std::atomic<int>> hits(n);
+    util::parallel_for(n, [&](std::size_t i) { ++hits[i]; }, *pool_);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "n=" << n;
+  }
+}
+
+TEST_P(Parallel, ParallelMapPreservesOrder) {
   auto out = util::parallel_map(
-      100, [](std::size_t i) { return i * i; }, pool);
+      100, [](std::size_t i) { return i * i; }, *pool_);
+  ASSERT_EQ(out.size(), 100u);
   for (std::size_t i = 0; i < 100; ++i) EXPECT_EQ(out[i], i * i);
 }
 
-TEST(Parallel, ReduceMatchesSerial) {
-  util::ThreadPool pool(4);
+TEST_P(Parallel, ReduceMatchesSerial) {
   const double total = util::parallel_reduce(
       1000, 0.0, [](std::size_t i) { return static_cast<double>(i); },
-      [](double a, double b) { return a + b; }, pool);
+      [](double a, double b) { return a + b; }, *pool_);
   EXPECT_DOUBLE_EQ(total, 999.0 * 1000.0 / 2.0);
 }
+
+TEST_P(Parallel, ExceptionPropagatesToTheCaller) {
+  EXPECT_THROW(util::parallel_for(
+                   64,
+                   [](std::size_t i) {
+                     if (i == 37) throw std::runtime_error("chunk 37");
+                   },
+                   *pool_),
+               std::runtime_error);
+  // The pool stays usable after a failed loop.
+  std::atomic<int> ran{0};
+  util::parallel_for(64, [&](std::size_t) { ++ran; }, *pool_);
+  EXPECT_EQ(ran.load(), 64);
+}
+
+TEST_P(Parallel, ThrowingChunkWaitsForTheOthers) {
+  // Index 0 fails at once while every other index is still busy; the
+  // loop may only rethrow once no call of `fn` is running any more.
+  std::atomic<int> running{0};
+  std::atomic<int> overlapping{-1};
+  try {
+    util::parallel_for(
+        8,
+        [&](std::size_t i) {
+          if (i == 0) throw std::runtime_error("first chunk");
+          ++running;
+          std::this_thread::sleep_for(std::chrono::milliseconds(30));
+          --running;
+        },
+        *pool_);
+    ADD_FAILURE() << "parallel_for swallowed the exception";
+  } catch (const std::runtime_error&) {
+    overlapping = running.load();
+  }
+  EXPECT_EQ(overlapping.load(), 0);
+}
+
+TEST_P(Parallel, NestedParallelForOnTheSamePoolCompletes) {
+  // Every outer chunk runs on a pool worker and starts an inner loop on
+  // that same pool. Run under a watchdog so a deadlock fails the test
+  // instead of hanging the suite.
+  std::vector<std::atomic<int>> hits(8 * 64);
+  auto done = std::make_shared<std::promise<void>>();
+  auto finished = done->get_future();
+  util::ThreadPool* pool = pool_.get();
+  std::thread run([&hits, done, pool] {
+    util::parallel_for(
+        8,
+        [&](std::size_t outer) {
+          util::parallel_for(
+              64, [&](std::size_t inner) { ++hits[outer * 64 + inner]; },
+              *pool);
+        },
+        *pool);
+    done->set_value();
+  });
+  if (finished.wait_for(std::chrono::seconds(20)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "nested parallel_for deadlocked on a pool of "
+                  << GetParam();
+    // The stuck threads can never be joined: leak them, and the pool
+    // they wait on, so the remaining tests still run.
+    run.detach();
+    (void)pool_.release();
+    return;
+  }
+  run.join();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, Parallel,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{4}, std::size_t{8}));
 
 TEST(TextTable, AlignsAndRejectsBadRows) {
   util::TextTable t({"a", "long_header"});
